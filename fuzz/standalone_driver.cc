@@ -34,6 +34,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "common/rng.h"
+
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size);
 extern "C" size_t LLVMFuzzerCustomMutator(uint8_t* data, size_t size,
                                           size_t max_size, unsigned int seed);
@@ -48,15 +50,6 @@ bool ReadFile(const std::string& path, std::string* out) {
   out->assign(std::istreambuf_iterator<char>(in),
               std::istreambuf_iterator<char>());
   return true;
-}
-
-// splitmix64, kept in sync with src/fuzz/rng.h (no dependency on the
-// library: the driver must stay linkable into any target).
-uint64_t NextRand(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
 }
 
 // The input currently executing, mirrored like libFuzzer's crash
@@ -159,20 +152,20 @@ int main(int argc, char** argv) {
   auto deadline = std::chrono::steady_clock::now() +
                   std::chrono::seconds(max_total_time > 0 ? max_total_time
                                                           : 86400LL);
-  uint64_t state = seed ? seed : 1;
+  rtp::Rng rng(seed ? seed : 1);
   std::vector<uint8_t> buf(kMaxInputSize);
   long long executed = 0;
   while ((runs <= 0 || executed < runs) &&
          std::chrono::steady_clock::now() < deadline) {
     size_t size = 0;
     if (!pool.empty()) {
-      const std::string& base = pool[NextRand(&state) % pool.size()];
+      const std::string& base = pool[rng.Below(pool.size())];
       size = std::min(base.size(), buf.size());
       std::memcpy(buf.data(), base.data(), size);
     }
     size = LLVMFuzzerCustomMutator(
         buf.data(), size, buf.size(),
-        static_cast<unsigned int>(NextRand(&state)));
+        static_cast<unsigned int>(rng.Next()));
     RunOne(buf.data(), size);
     ++executed;
   }

@@ -11,7 +11,7 @@
 // the operation ends up needing, so the injection sequence — and hence
 // the per-node injection counts the chaos CI leg diffs — depends only on
 // (config.seed, stream, op sequence). The RNG is the same splitmix64
-// discipline as rtp::workload thread seeding (fuzz/rng.h).
+// discipline as rtp::workload thread seeding (common/rng.h).
 //
 // The decided faults are applied by a socket shim (ShimSendLine below)
 // shared by the resilient serve::Client (in-process injection with exact
@@ -22,8 +22,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/rng.h"
 #include "common/status.h"
-#include "fuzz/rng.h"
 
 namespace rtp::chaos {
 
@@ -103,7 +103,7 @@ class FaultPlan {
 
  private:
   ChaosConfig config_;
-  fuzz::Rng rng_;
+  Rng rng_;
   std::array<uint64_t, kNumFaultKinds> counts_{};
 };
 

@@ -1,16 +1,18 @@
-#ifndef RTP_FUZZ_RNG_H_
-#define RTP_FUZZ_RNG_H_
+#ifndef RTP_COMMON_RNG_H_
+#define RTP_COMMON_RNG_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
 
-namespace rtp::fuzz {
+namespace rtp {
 
-// Deterministic splitmix64 generator for the fuzzing subsystem. Unlike
+// Deterministic splitmix64 generator, shared by the fuzz generators, the
+// workload runner, chaos fault plans and the client's retry jitter. Unlike
 // std::mt19937_64 + distributions, every draw is fully specified here, so
 // a (seed, params) pair reproduces the same generated input on any
-// platform and standard library — the property crash reports rely on.
+// platform and standard library — the property crash reports and seeded
+// load runs rely on. tests/rng_test.cc pins the output.
 class Rng {
  public:
   explicit Rng(uint64_t seed) : state_(seed) {}
@@ -52,6 +54,6 @@ class Rng {
   uint64_t state_;
 };
 
-}  // namespace rtp::fuzz
+}  // namespace rtp
 
-#endif  // RTP_FUZZ_RNG_H_
+#endif  // RTP_COMMON_RNG_H_

@@ -6,8 +6,8 @@
 #include <string_view>
 
 #include "common/alphabet.h"
+#include "common/rng.h"
 #include "fd/functional_dependency.h"
-#include "fuzz/rng.h"
 #include "pattern/tree_pattern.h"
 #include "update/update_class.h"
 

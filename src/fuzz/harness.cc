@@ -3,8 +3,8 @@
 #include <string>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "fuzz/oracles.h"
-#include "fuzz/rng.h"
 #include "guard/guard.h"
 #include "pattern/pattern_parser.h"
 #include "pattern/pattern_writer.h"

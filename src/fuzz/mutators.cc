@@ -4,8 +4,8 @@
 #include <string>
 #include <string_view>
 
+#include "common/rng.h"
 #include "fuzz/generators.h"
-#include "fuzz/rng.h"
 
 namespace rtp::fuzz {
 

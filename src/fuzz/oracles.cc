@@ -3,11 +3,11 @@
 #include <set>
 #include <string>
 
+#include "common/rng.h"
 #include "fd/fd_checker.h"
 #include "fd/reference_checker.h"
 #include "fuzz/generators.h"
 #include "guard/guard.h"
-#include "fuzz/rng.h"
 #include "independence/criterion.h"
 #include "pattern/evaluator.h"
 #include "pattern/pattern_writer.h"

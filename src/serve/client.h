@@ -30,8 +30,8 @@
 #include <vector>
 
 #include "chaos/chaos.h"
+#include "common/rng.h"
 #include "common/status.h"
-#include "fuzz/rng.h"
 #include "guard/guard.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
@@ -195,7 +195,7 @@ class Client {
   std::string read_buffer_;
   std::string socket_path_;
   ClientOptions options_;
-  fuzz::Rng jitter_{1};
+  Rng jitter_{1};
   uint64_t retries_ = 0;
   uint64_t reconnects_ = 0;
 };

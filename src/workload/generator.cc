@@ -33,7 +33,7 @@ class FuzzTextGenerator : public Generator {
   FuzzTextGenerator(Flavor flavor, fuzz::TextGenParams params)
       : flavor_(flavor), params_(params) {}
 
-  std::string Next(fuzz::Rng* rng) override {
+  std::string Next(Rng* rng) override {
     switch (flavor_) {
       case Flavor::kPattern:
         return fuzz::GeneratePatternDslText(rng, params_);
@@ -55,7 +55,7 @@ class ExamDocGenerator : public Generator {
  public:
   explicit ExamDocGenerator(uint32_t candidates) : candidates_(candidates) {}
 
-  std::string Next(fuzz::Rng* rng) override {
+  std::string Next(Rng* rng) override {
     Alphabet alphabet;
     ExamWorkloadParams params;
     params.num_candidates = candidates_;
@@ -75,7 +75,7 @@ class FileGenerator : public Generator {
   explicit FileGenerator(std::vector<std::string> payloads)
       : payloads_(std::move(payloads)) {}
 
-  std::string Next(fuzz::Rng* /*rng*/) override {
+  std::string Next(Rng* /*rng*/) override {
     std::string payload = payloads_[cursor_ % payloads_.size()];
     ++cursor_;
     return payload;

@@ -24,8 +24,8 @@
 #include <memory>
 #include <string>
 
+#include "common/rng.h"
 #include "common/status.h"
-#include "fuzz/rng.h"
 #include "workload/spec.h"
 
 namespace rtp::workload {
@@ -36,7 +36,7 @@ class Generator {
 
   // The next payload, drawn deterministically from `rng` (and any
   // instance-local cursor state).
-  virtual std::string Next(fuzz::Rng* rng) = 0;
+  virtual std::string Next(Rng* rng) = 0;
 };
 
 using GeneratorFactory =

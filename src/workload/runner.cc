@@ -250,7 +250,7 @@ class Worker {
   }
 
   const RunnerOptions& options_;
-  fuzz::Rng rng_;
+  Rng rng_;
   int thread_index_;
   Clock::time_point start_;
   Clock::time_point deadline_;
@@ -288,7 +288,7 @@ StatusOr<RunResult> RunWorkload(const WorkloadSpec& spec,
   }
 
   // Thread seeds derive from the root seed in thread-index order.
-  fuzz::Rng seeder(options.seed);
+  Rng seeder(options.seed);
   std::vector<uint64_t> seeds;
   seeds.reserve(static_cast<size_t>(options.threads));
   for (int i = 0; i < options.threads; ++i) seeds.push_back(seeder.Next());

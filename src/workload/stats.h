@@ -65,8 +65,8 @@ class WorkloadStats {
   std::string ToText(const std::string& workload_name, int threads,
                      uint64_t seed, double elapsed_s) const;
 
-  // One bench-JSON line per node plus a "total" line, compatible with
-  // tools/bench_compare.py (fields "bench" and "cpu_time" in ns):
+  // One bench-JSON line per node plus a "total" line, in the format the
+  // bench/ binaries emit (fields "bench" and "cpu_time" in ns):
   //   {"bench":"rtp_load/<spec>/<node>/t<threads>","iterations":<count>,
   //    "real_time":<mean_ns>,"cpu_time":<mean_ns>,"time_unit":"ns",
   //    "counters":{"ops":...,"errors":...,"min_us":...,"max_us":...,

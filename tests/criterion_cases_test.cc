@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "independence/criterion.h"
 #include "workload/exam_schema.h"
 
@@ -20,6 +22,14 @@ struct Case {
   bool with_schema;  // exam schema
   bool expect_independent;
 };
+
+// gtest prints the parameter into each listed test name, and ctest keeps
+// that name as the test's id. Without a printer it prints the struct's raw
+// bytes, pointers included, so the id would change with every process.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << (c.expect_independent ? "independent" : "unknown")
+      << (c.with_schema ? "+schema" : "");
+}
 
 // fd templates reused across cases.
 constexpr const char* kFd1 = R"(

@@ -11,9 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "fuzz/generators.h"
 #include "fuzz/oracles.h"
-#include "fuzz/rng.h"
 #include "fuzz/small_docs.h"
 #include "workload/random_pattern.h"
 #include "xml/document.h"
@@ -24,7 +24,7 @@ namespace {
 std::vector<xml::Document> MakeDocs(Alphabet* alphabet, uint64_t seed,
                                     int count, uint32_t max_nodes) {
   std::vector<xml::Document> docs;
-  fuzz::Rng rng(seed);
+  Rng rng(seed);
   for (int i = 0; i < count; ++i) {
     workload::RandomTreeParams params;
     params.seed = rng.Next();
@@ -80,7 +80,7 @@ class OracleTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(OracleTest, DenseMatchesReferenceEvaluation) {
   Alphabet alphabet;
-  fuzz::Rng rng(GetParam());
+  Rng rng(GetParam());
   fuzz::InstanceGenParams instance;
   std::vector<xml::Document> docs = MakeDocs(&alphabet, GetParam(), 4, 12);
   for (int i = 0; i < 5; ++i) {
@@ -95,7 +95,7 @@ TEST_P(OracleTest, DenseMatchesReferenceEvaluation) {
 
 TEST_P(OracleTest, BatchEvaluationMatchesSerial) {
   Alphabet alphabet;
-  fuzz::Rng rng(GetParam() + 100);
+  Rng rng(GetParam() + 100);
   fuzz::InstanceGenParams instance;
   std::vector<xml::Document> docs = MakeDocs(&alphabet, GetParam(), 6, 14);
   pattern::TreePattern pattern =
@@ -108,7 +108,7 @@ TEST_P(OracleTest, BatchEvaluationMatchesSerial) {
 
 TEST_P(OracleTest, HashedFdCheckerMatchesNaiveQuadratic) {
   Alphabet alphabet;
-  fuzz::Rng rng(GetParam() + 200);
+  Rng rng(GetParam() + 200);
   fuzz::InstanceGenParams instance;
   std::vector<xml::Document> docs = MakeDocs(&alphabet, GetParam(), 4, 12);
   for (int i = 0; i < 5; ++i) {
@@ -127,7 +127,7 @@ TEST_P(OracleTest, HashedFdCheckerMatchesNaiveQuadratic) {
 
 TEST_P(OracleTest, CriterionMatchesBruteForceEnumeration) {
   Alphabet alphabet;
-  fuzz::Rng rng(GetParam() + 300);
+  Rng rng(GetParam() + 300);
   fuzz::InstanceGenParams instance;
   fuzz::SmallDocParams small_docs;
   small_docs.labels = {"l0", "l1", "l2", "#text"};

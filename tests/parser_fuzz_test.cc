@@ -8,9 +8,9 @@
 
 #include <string>
 
+#include "common/rng.h"
 #include "fd/path_fd.h"
 #include "fuzz/generators.h"
-#include "fuzz/rng.h"
 #include "pattern/pattern_parser.h"
 #include "regex/regex.h"
 #include "schema/schema.h"
@@ -23,7 +23,7 @@ namespace {
 class ParserFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ParserFuzzTest, AllParsersSurviveGarbage) {
-  fuzz::Rng rng(GetParam());
+  Rng rng(GetParam());
   for (int i = 0; i < 40; ++i) {
     Alphabet alphabet;
     std::string input = fuzz::GenerateRandomBytes(&rng, 60);
@@ -44,7 +44,7 @@ TEST_P(ParserFuzzTest, AllParsersSurviveGarbage) {
 }
 
 TEST_P(ParserFuzzTest, GeneratedInputsParse) {
-  fuzz::Rng rng(GetParam() * 31 + 5);
+  Rng rng(GetParam() * 31 + 5);
   fuzz::TextGenParams params;
   for (int i = 0; i < 25; ++i) {
     Alphabet alphabet;
@@ -76,7 +76,7 @@ TEST_P(ParserFuzzTest, GeneratedInputsParse) {
 }
 
 TEST_P(ParserFuzzTest, MutatedValidInputsSurvive) {
-  fuzz::Rng rng(GetParam() + 7777);
+  Rng rng(GetParam() + 7777);
   fuzz::TextGenParams params;
   for (int i = 0; i < 25; ++i) {
     Alphabet alphabet;

@@ -20,10 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "fd/fd_checker.h"
 #include "fd/functional_dependency.h"
 #include "fuzz/generators.h"
-#include "fuzz/rng.h"
 #include "obs/metrics.h"
 #include "pattern/evaluator.h"
 #include "pattern/pattern_parser.h"
@@ -422,7 +422,7 @@ TEST(ServeTest, MalformedRequestsGetStructuredErrors) {
   };
   // Reuse the fuzz byte generator for adversarial garbage; newlines would
   // split into several frames, so strip them (each line is one request).
-  fuzz::Rng rng(0xC0FFEE);
+  Rng rng(0xC0FFEE);
   for (int i = 0; i < 32; ++i) {
     std::string bytes = fuzz::GenerateRandomBytes(&rng, 200);
     std::string line;

@@ -189,7 +189,7 @@ TEST(WorkloadRunnerTest, BenchJsonLinesParseAndCarryCounters) {
     if (line.empty()) continue;
     auto value = serve::JsonValue::Parse(line);
     ASSERT_TRUE(value.ok()) << line;
-    // The bench_compare.py contract: "bench" + "cpu_time" present.
+    // The bench-JSON line format of bench/: "bench" + "cpu_time" present.
     EXPECT_FALSE(value->FindString("bench").empty()) << line;
     ASSERT_NE(value->Find("cpu_time"), nullptr) << line;
     const serve::JsonValue* counters = value->Find("counters");

@@ -9,8 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/status.h"
-#include "fuzz/rng.h"
 #include "workload/generator.h"
 #include "workload/spec.h"
 
@@ -268,8 +268,8 @@ TEST(WorkloadSpecTest, BudgetFieldsParse) {
   EXPECT_EQ(a.budget.max_memory_bytes, int64_t{16} << 20);
 }
 
-// Golden parse of the committed smoke spec — the exact shape the load CI
-// leg and bench_serve_throughput replay.
+// Golden parse of the committed smoke spec — the exact shape the load and
+// chaos CI legs replay.
 TEST(WorkloadSpecTest, GoldenSmokeSpecParses) {
   auto spec = LoadWorkloadSpecFile(SmokeSpecPath());
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
@@ -347,7 +347,7 @@ TEST(WorkloadGeneratorTest, CustomKindPlugsIn) {
          public:
           explicit Constant(std::string payload)
               : payload_(std::move(payload)) {}
-          std::string Next(fuzz::Rng* /*rng*/) override { return payload_; }
+          std::string Next(Rng* /*rng*/) override { return payload_; }
 
          private:
           std::string payload_;
@@ -365,7 +365,7 @@ TEST(WorkloadGeneratorTest, CustomKindPlugsIn) {
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   auto gen = CreateGenerator(spec->generators[0]);
   ASSERT_TRUE(gen.ok());
-  fuzz::Rng rng(1);
+  Rng rng(1);
   EXPECT_EQ((*gen)->Next(&rng), "root {} select r;");
 }
 
@@ -380,7 +380,7 @@ TEST(WorkloadGeneratorTest, FuzzGeneratorsAreSeedDeterministic) {
   auto gen2 = CreateGenerator(spec->generators[0]);
   ASSERT_TRUE(gen1.ok());
   ASSERT_TRUE(gen2.ok());
-  fuzz::Rng rng1(99), rng2(99);
+  Rng rng1(99), rng2(99);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ((*gen1)->Next(&rng1), (*gen2)->Next(&rng2));
   }

@@ -7,8 +7,8 @@
 // Parses a JSON workload spec (examples/workloads/), drives the rtpd
 // socket closed-loop with N client threads (open-loop at --target-rate
 // ops/sec), and reports per-node count / mean / min / max / stddev /
-// p50 / p99 latency. --out writes bench-JSON lines compatible with
-// tools/bench_compare.py; --counts-out writes the sorted per-node op
+// p50 / p99 latency. --out writes bench-JSON lines in the format the
+// bench/ binaries emit; --counts-out writes the sorted per-node op
 // counts (plus per-node fault-injection counts under chaos) the load and
 // chaos CI legs diff between two same-seed runs.
 //

@@ -1,18 +1,19 @@
 #!/usr/bin/env bash
 # Runs every bench_* binary in a build tree and concatenates their JSON
-# result lines into BENCH_pr10.json (one JSON object per line) — a
-# committed baseline tools/bench_compare.py can read.
+# result lines into one file (one JSON object per line). The binaries
+# reproduce the experiments of EXPERIMENTS.md; they are not a perf gate
+# (that is tools/perf_gate.py, see docs/PERFORMANCE.md).
 #
 # usage: tools/run_benches.sh [build-dir] [output-file] [extra bench args...]
 #
 #   build-dir    defaults to ./build
-#   output-file  defaults to ./BENCH_pr10.json
+#   output-file  defaults to ./BENCH_RESULTS.json
 #   extra args   passed through to every binary, e.g.
 #                --benchmark_filter=BM_EnumerateR2 --benchmark_min_time=0.1x
 set -euo pipefail
 
 build_dir="${1:-build}"
-out_file="${2:-BENCH_pr10.json}"
+out_file="${2:-BENCH_RESULTS.json}"
 shift $(( $# > 2 ? 2 : $# )) || true
 
 bench_dir="$build_dir/bench"
@@ -35,30 +36,6 @@ done
 if [ "$found" = 0 ]; then
   echo "error: no bench_* binaries under '$bench_dir'" >&2
   exit 1
-fi
-
-# When the tree has the daemon and the load harness, append an rtp_load
-# pass over the committed smoke workload spec against a real rtpd — the
-# rtp_load/smoke/... per-node lines land in the same baseline file (see
-# docs/WORKLOADS.md).
-if [ -x "$build_dir/tools/rtpd" ] && [ -x "$build_dir/tools/rtp_load" ]; then
-  echo "== rtp_load (examples/workloads/smoke.json)" >&2
-  workdir="$(mktemp -d)"
-  sock="$workdir/rtpd.sock"
-  "$build_dir/tools/rtpd" --socket="$sock" --jobs=4 &
-  rtpd_pid=$!
-  for i in $(seq 1 50); do [ -S "$sock" ] && break; sleep 0.1; done
-  if [ -S "$sock" ]; then
-    source_dir="$(cd "$(dirname "$0")/.." && pwd)"
-    "$build_dir/tools/rtp_load" \
-      --spec="$source_dir/examples/workloads/smoke.json" \
-      --socket="$sock" --threads=4 --seed=42 --out="$tmp" >&2
-  else
-    echo "warning: rtpd did not come up — skipping rtp_load lines" >&2
-  fi
-  kill "$rtpd_pid" 2>/dev/null || true
-  wait "$rtpd_pid" 2>/dev/null || true
-  rm -rf "$workdir"
 fi
 
 mv "$tmp" "$out_file"

@@ -14,10 +14,18 @@
 #                 TSan slows everything ~10x and the rest of the suite is
 #                 single-threaded, so the labels keep the leg focused on
 #                 code that actually runs concurrently.
-#   perf          one pass over the allowlisted benchmarks in the plain
-#                 (Release) tree, compared against the committed
-#                 BENCH_pr10.json via tools/bench_compare.py (>10% cpu-time
-#                 regression fails; see docs/PERFORMANCE.md).
+#   perf          tools/perf_gate.py: a perfbench A/B of this checkout
+#                 against `git merge-base HEAD origin/main`, checked out
+#                 with git worktree. Both trees run this checkout's
+#                 perfbench/ on every workload BENCHMARK.json gates, five
+#                 seed pairs, alternating which side runs first. Fails on
+#                 any wrong answer, when a median end-to-end metric is
+#                 worse than the base's by more than its BENCHMARK.json
+#                 bound, or when a side's spread exceeds that bound. Each
+#                 tree builds in its own .bench_build/, so the leg ignores
+#                 the build-dir prefix. Hosted runners are too noisy for
+#                 the bounds, so ci.yml leaves this leg out; nightly.yml
+#                 runs the script on main. See docs/PERFORMANCE.md.
 #   fuzz          -DRTP_FUZZ=ON -DRTP_SANITIZE=address,undefined build of
 #                 the fuzz/ harnesses; replays fuzz/corpus/, then fuzzes
 #                 each harness for RTP_FUZZ_SECONDS (default 30) seconds.
@@ -101,25 +109,8 @@ run_leg() {
 }
 
 run_perf() {
-  local build_dir="${prefix}-plain"
-  echo "==== [perf] configure + build (Release)" >&2
-  cmake -B "$build_dir" -S "$source_dir" -DRTP_SANITIZE="" > /dev/null
-  cmake --build "$build_dir" -j "$jobs" --target bench_pattern_eval \
-    bench_fd_check
-  local out
-  out="$(mktemp)"
-  # shellcheck disable=SC2064  # expand $out now, not at trap time
-  trap "rm -f '$out'" RETURN
-  echo "==== [perf] running allowlisted benchmarks" >&2
-  RTP_BENCH_JSON="$out" "$build_dir/bench/bench_pattern_eval" \
-    --benchmark_filter='(BM_MatchTablesR1|BM_MatchTablesR3|BM_EnumerateR2|BM_EnumerateR3)/4096$' \
-    --benchmark_min_time=0.1 >&2
-  RTP_BENCH_JSON="$out" "$build_dir/bench/bench_fd_check" \
-    --benchmark_filter='(BM_CheckFd1|BM_CheckFd2|BM_CheckFd3|BM_CheckFd5)/4096$' \
-    --benchmark_min_time=0.1 >&2
-  echo "==== [perf] comparing against BENCH_pr10.json" >&2
-  python3 "$source_dir/tools/bench_compare.py" \
-    "$source_dir/BENCH_pr10.json" "$out"
+  echo "==== [perf] perfbench A/B against the merge-base" >&2
+  python3 "$source_dir/tools/perf_gate.py"
 }
 
 run_fuzz() {
