@@ -13,10 +13,9 @@
 // (config.seed, stream, op sequence). The RNG is the same splitmix64
 // discipline as rtp::workload thread seeding (common/rng.h).
 //
-// The decided faults are applied by a socket shim (ShimSendLine below)
-// shared by the resilient serve::Client (in-process injection with exact
-// counts) and the standalone rtp_chaos_proxy tool (wire-level injection
-// against a real daemon for CI runs).
+// serve::Client is the one injection path: it applies a call's decided
+// fault to that call's first attempt, the send-side kinds through the
+// socket shim below (ShimSendLine), and counts it per kind.
 
 #include <array>
 #include <cstdint>
@@ -111,12 +110,12 @@ class FaultPlan {
 // send-side faults (kTornWrite / kWriteStall / kCorruptByte; every other
 // kind sends cleanly). Loops on EINTR, uses MSG_NOSIGNAL. Returns
 // UNAVAILABLE when the socket fails mid-send. This is the ONE place the
-// send-side fault semantics live; serve::Client and rtp_chaos_proxy both
-// go through it.
+// send-side fault semantics live.
 Status ShimSendLine(int fd, const std::string& line,
                     const FaultDecision& fault);
 
-// Sleeps for `ms` milliseconds (shared by the shim and the proxy).
+// Sleeps for `ms` milliseconds (the shim's stalls, the client's delays
+// and backoff).
 void SleepMs(uint32_t ms);
 
 }  // namespace rtp::chaos

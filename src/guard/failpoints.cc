@@ -9,7 +9,9 @@
 
 namespace rtp::guard {
 
-#ifdef RTP_FAILPOINTS
+namespace internal {
+std::atomic<int> armed_failpoints{0};
+}  // namespace internal
 
 namespace {
 
@@ -27,6 +29,16 @@ std::mutex& SitesMutex() {
 std::map<std::string, SiteState, std::less<>>& Sites() {
   static auto* sites = new std::map<std::string, SiteState, std::less<>>;
   return *sites;
+}
+
+// Publishes the number of armed sites to RTP_FAILPOINT. Call with
+// SitesMutex() held, after every change to a site's action.
+void PublishArmedCount() {
+  int armed = 0;
+  for (const auto& [name, state] : Sites()) {
+    if (state.action != FailAction::kNone) ++armed;
+  }
+  internal::armed_failpoints.store(armed, std::memory_order_relaxed);
 }
 
 void Fire(FailAction action, std::string_view site) {
@@ -60,19 +72,19 @@ void Fire(FailAction action, std::string_view site) {
 
 }  // namespace
 
-bool FailpointsCompiledIn() { return true; }
-
 void ArmFailpoint(std::string_view site, FailAction action,
                   int64_t after_hits) {
   std::lock_guard<std::mutex> lock(SitesMutex());
   SiteState& state = Sites()[std::string(site)];
   state.action = action;
   state.remaining = after_hits;
+  PublishArmedCount();
 }
 
 void DisarmAllFailpoints() {
   std::lock_guard<std::mutex> lock(SitesMutex());
   Sites().clear();
+  PublishArmedCount();
 }
 
 int64_t FailpointHits(std::string_view site) {
@@ -95,6 +107,7 @@ void FailpointHit(std::string_view site) {
       } else {
         to_fire = state.action;
         state.action = FailAction::kNone;  // firing disarms
+        PublishArmedCount();
       }
     }
   }
@@ -102,18 +115,5 @@ void FailpointHit(std::string_view site) {
 }
 
 }  // namespace internal
-
-#else  // !RTP_FAILPOINTS
-
-bool FailpointsCompiledIn() { return false; }
-void ArmFailpoint(std::string_view, FailAction, int64_t) {}
-void DisarmAllFailpoints() {}
-int64_t FailpointHits(std::string_view) { return 0; }
-
-namespace internal {
-void FailpointHit(std::string_view) {}
-}  // namespace internal
-
-#endif  // RTP_FAILPOINTS
 
 }  // namespace rtp::guard

@@ -1,19 +1,20 @@
 #ifndef RTP_GUARD_FAILPOINTS_H_
 #define RTP_GUARD_FAILPOINTS_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string_view>
 
-// Compile-time fault injection for robustness tests.
+// Fault injection for robustness tests.
 //
-// Pipeline code marks named sites with RTP_FAILPOINT("site.name"). In a
-// normal build the macro compiles to nothing. When the tree is configured
-// with -DRTP_FAILPOINTS=ON, a test can arm a site with an action; the next
-// time execution reaches the site (optionally after a number of free hits)
-// the action fires against the guard installed on the current thread —
-// tripping its deadline, state quota, memory budget, or cancellation, or
-// simulating an allocation failure. Sites with no armed action only bump a
-// hit counter.
+// Pipeline code marks named sites with RTP_FAILPOINT("site.name"). The
+// macro is one relaxed load of the number of armed sites; it calls out of
+// line only while some site is armed. A test arms a site with an action;
+// the next time execution reaches the site (optionally after a number of
+// free hits) the action fires against the guard installed on the current
+// thread — tripping its deadline, state quota, memory budget, or
+// cancellation, or simulating an allocation failure. While any site is
+// armed, every pass through every site bumps that site's hit counter.
 //
 // The site catalogue lives in docs/ROBUSTNESS.md. Arming is process-global
 // and mutex-protected; tests disarm everything in their teardown.
@@ -28,11 +29,6 @@ enum class FailAction {
   kAllocFail,  // trip the current guard as RESOURCE_EXHAUSTED (allocation)
 };
 
-// True when the failpoint machinery was compiled in (-DRTP_FAILPOINTS=ON).
-// The functions below are callable either way; without the machinery they
-// are inert stubs so tests can compile once and GTEST_SKIP at runtime.
-bool FailpointsCompiledIn();
-
 // Arms `site` to fire `action` after `after_hits` further passes through
 // it (0 = fire on the very next hit). Re-arming replaces the previous
 // action. Firing disarms the site.
@@ -42,23 +38,26 @@ void ArmFailpoint(std::string_view site, FailAction action,
 // Disarms every site and resets all hit counters.
 void DisarmAllFailpoints();
 
-// Total number of times execution passed `site` since the last
-// DisarmAllFailpoints() (counted only in RTP_FAILPOINTS builds).
+// Number of times execution passed `site` while some site was armed,
+// since the last DisarmAllFailpoints().
 int64_t FailpointHits(std::string_view site);
 
 namespace internal {
-// Out-of-line slow path behind RTP_FAILPOINT.
-void FailpointHit(std::string_view site);
+// Number of armed sites, read by every RTP_FAILPOINT.
+extern std::atomic<int> armed_failpoints;
+// Out-of-line slow path behind RTP_FAILPOINT. Cold, so the compiler keeps
+// the call off the instrumented function's hot path.
+[[gnu::cold]] void FailpointHit(std::string_view site);
 }  // namespace internal
 
 }  // namespace rtp::guard
 
-#ifdef RTP_FAILPOINTS
-#define RTP_FAILPOINT(site) ::rtp::guard::internal::FailpointHit(site)
-#else
-#define RTP_FAILPOINT(site) \
-  do {                      \
+#define RTP_FAILPOINT(site)                                      \
+  do {                                                           \
+    if (::rtp::guard::internal::armed_failpoints.load(           \
+            std::memory_order_relaxed) > 0) [[unlikely]] {       \
+      ::rtp::guard::internal::FailpointHit(site);                \
+    }                                                            \
   } while (false)
-#endif
 
 #endif  // RTP_GUARD_FAILPOINTS_H_

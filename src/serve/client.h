@@ -2,8 +2,8 @@
 #define RTP_SERVE_CLIENT_H_
 
 // Client side of the rtpd wire protocol. This is the ONE client
-// implementation: the rtpd_client tool, the end-to-end test battery, and
-// the throughput bench all speak through it, so the protocol has exactly
+// implementation: `rtp_cli --socket`, rtp_load, the end-to-end test
+// battery and perfbench all speak through it, so the protocol has exactly
 // one encoder/decoder per side and the golden transcripts pin both.
 //
 // A Client is a single connection with strictly sequential
@@ -24,6 +24,10 @@
 // decorrelated jitter; load / drop / quota / shutdown are never retried
 // (a duplicate would repeat the side effect). Overload sheds that carry
 // a retry_after_ms hint are retried the same way, honoring the hint.
+//
+// Fault injection lives here too, and only here: a call's
+// chaos::FaultDecision is applied to its first attempt, and retries run
+// clean, so the per-node fault counts of a seeded workload run repeat.
 
 #include <cstdint>
 #include <string>

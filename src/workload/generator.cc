@@ -1,7 +1,5 @@
 #include "workload/generator.h"
 
-#include <map>
-#include <mutex>
 #include <utility>
 
 #include "common/alphabet.h"
@@ -11,21 +9,6 @@
 
 namespace rtp::workload {
 namespace {
-
-// Kind-name → factory. A mutex-guarded map (not a lock-free structure):
-// registration and instantiation happen at spec-parse and thread-start
-// time, never on the per-op hot path.
-struct RegistryState {
-  std::mutex mu;
-  std::map<std::string, GeneratorFactory> factories;
-};
-
-RegistryState& Registry() {
-  static RegistryState* state = new RegistryState();
-  return *state;
-}
-
-// --- built-in kinds --------------------------------------------------
 
 class FuzzTextGenerator : public Generator {
  public:
@@ -86,71 +69,31 @@ class FileGenerator : public Generator {
   size_t cursor_ = 0;
 };
 
-void RegisterBuiltins(RegistryState* state) {
-  auto fuzz_factory = [](FuzzTextGenerator::Flavor flavor) {
-    return [flavor](const GeneratorSpec& spec)
-               -> StatusOr<std::unique_ptr<Generator>> {
-      return std::unique_ptr<Generator>(
-          new FuzzTextGenerator(flavor, spec.text_params));
-    };
-  };
-  state->factories["fuzz_pattern"] =
-      fuzz_factory(FuzzTextGenerator::Flavor::kPattern);
-  state->factories["fuzz_fd"] = fuzz_factory(FuzzTextGenerator::Flavor::kFd);
-  state->factories["fuzz_xml"] = fuzz_factory(FuzzTextGenerator::Flavor::kXml);
-  state->factories["exam_doc"] =
-      [](const GeneratorSpec& spec) -> StatusOr<std::unique_ptr<Generator>> {
-    return std::unique_ptr<Generator>(
-        new ExamDocGenerator(spec.exam_candidates));
-  };
-  state->factories["file"] =
-      [](const GeneratorSpec& spec) -> StatusOr<std::unique_ptr<Generator>> {
+}  // namespace
+
+StatusOr<std::unique_ptr<Generator>> CreateGenerator(
+    const GeneratorSpec& spec) {
+  using Flavor = FuzzTextGenerator::Flavor;
+  std::unique_ptr<Generator> generator;
+  if (spec.kind == "fuzz_pattern") {
+    generator.reset(new FuzzTextGenerator(Flavor::kPattern, spec.text_params));
+  } else if (spec.kind == "fuzz_fd") {
+    generator.reset(new FuzzTextGenerator(Flavor::kFd, spec.text_params));
+  } else if (spec.kind == "fuzz_xml") {
+    generator.reset(new FuzzTextGenerator(Flavor::kXml, spec.text_params));
+  } else if (spec.kind == "exam_doc") {
+    generator.reset(new ExamDocGenerator(spec.exam_candidates));
+  } else if (spec.kind == "file") {
     if (spec.payloads.empty()) {
       return InvalidArgumentError("generator '" + spec.name +
                                   "': kind 'file' needs a non-empty 'files'");
     }
-    return std::unique_ptr<Generator>(new FileGenerator(spec.payloads));
-  };
-}
-
-RegistryState& InitializedRegistry() {
-  RegistryState& state = Registry();
-  static std::once_flag once;
-  std::call_once(once, [&state] {
-    std::lock_guard<std::mutex> lock(state.mu);
-    RegisterBuiltins(&state);
-  });
-  return state;
-}
-
-}  // namespace
-
-void RegisterGeneratorKind(const std::string& kind, GeneratorFactory factory) {
-  RegistryState& state = InitializedRegistry();
-  std::lock_guard<std::mutex> lock(state.mu);
-  state.factories[kind] = std::move(factory);
-}
-
-bool GeneratorKindRegistered(const std::string& kind) {
-  RegistryState& state = InitializedRegistry();
-  std::lock_guard<std::mutex> lock(state.mu);
-  return state.factories.count(kind) != 0;
-}
-
-StatusOr<std::unique_ptr<Generator>> CreateGenerator(
-    const GeneratorSpec& spec) {
-  GeneratorFactory factory;
-  {
-    RegistryState& state = InitializedRegistry();
-    std::lock_guard<std::mutex> lock(state.mu);
-    auto it = state.factories.find(spec.kind);
-    if (it == state.factories.end()) {
-      return InvalidArgumentError("generator '" + spec.name +
-                                  "': unknown kind '" + spec.kind + "'");
-    }
-    factory = it->second;
+    generator.reset(new FileGenerator(spec.payloads));
+  } else {
+    return InvalidArgumentError("generator '" + spec.name +
+                                "': unknown kind '" + spec.kind + "'");
   }
-  return factory(spec);
+  return generator;
 }
 
 }  // namespace rtp::workload

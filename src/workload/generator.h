@@ -1,14 +1,11 @@
 #ifndef RTP_WORKLOAD_GENERATOR_H_
 #define RTP_WORKLOAD_GENERATOR_H_
 
-// Pluggable payload generators for workload specs (codes-workload style):
-// the runner asks a Generator for the next pattern / FD / document text,
-// and the generator's identity is a string kind resolved through a
-// process-wide registry, so the same harness can replay recorded files,
-// synthesize rtp::fuzz streams, or emit exam-session documents — and
-// embedders can register their own kinds without touching the runner.
-//
-// Built-in kinds (parameters in docs/WORKLOADS.md):
+// Payload generators for workload specs: the runner asks a Generator for
+// the next pattern / FD / document text, so the same harness can replay
+// recorded files, synthesize rtp::fuzz streams, or emit exam-session
+// documents. A spec names one of five kinds (parameters in
+// docs/WORKLOADS.md):
 //   fuzz_pattern  pattern-DSL text from fuzz::GeneratePatternDslText
 //   fuzz_fd       pattern-DSL-with-context text (parseable as an FD)
 //   fuzz_xml      well-formed XML from fuzz::GenerateXmlText
@@ -20,7 +17,6 @@
 // generator instance per runner thread reproduces the same payload
 // sequence for the same thread seed.
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -39,21 +35,9 @@ class Generator {
   virtual std::string Next(Rng* rng) = 0;
 };
 
-using GeneratorFactory =
-    std::function<StatusOr<std::unique_ptr<Generator>>(const GeneratorSpec&)>;
-
-// Registers `factory` for generator kind `kind`, replacing any previous
-// registration (built-ins register themselves; tests override freely).
-// Thread-safe.
-void RegisterGeneratorKind(const std::string& kind, GeneratorFactory factory);
-
 // Instantiates the generator described by `spec`; unknown kinds yield
 // INVALID_ARGUMENT. Each runner thread creates its own instances.
 StatusOr<std::unique_ptr<Generator>> CreateGenerator(const GeneratorSpec& spec);
-
-// True when `kind` is registered (spec validation probes this without
-// instantiating).
-bool GeneratorKindRegistered(const std::string& kind);
 
 }  // namespace rtp::workload
 

@@ -58,13 +58,11 @@ StatusOr<std::unique_ptr<Scope>> BuildScope(const WorkloadSpec& spec,
 class Worker {
  public:
   Worker(const RunnerOptions& options, uint64_t thread_seed, int thread_index,
-         Clock::time_point start, Clock::time_point deadline,
+         Clock::time_point deadline,
          const serve::ClientOptions& client_options,
          const chaos::ChaosConfig& chaos_config)
       : options_(options),
         rng_(thread_seed),
-        thread_index_(thread_index),
-        start_(start),
         deadline_(deadline),
         client_options_(client_options) {
     if (chaos_config.enabled()) {
@@ -83,7 +81,7 @@ class Worker {
 
   void Run(Scope& scope, size_t root) { Exec(scope, root); }
 
-  // Setup phase: executes `nodes` once, in order, ignoring pacing.
+  // Setup phase: executes `nodes` once, in order.
   void RunSetup(Scope& scope, const std::vector<size_t>& nodes) {
     for (size_t node : nodes) Exec(scope, node);
   }
@@ -106,32 +104,10 @@ class Worker {
     return stopped_;
   }
 
-  void Pace() {
-    if (options_.target_rate <= 0) return;
-    // Per-thread schedule: thread i issues its k-th op at
-    // start + (i/threads + k) * threads/rate, staggering threads evenly
-    // across one global inter-op interval.
-    double interval_s =
-        static_cast<double>(options_.threads) / options_.target_rate;
-    double offset_s = interval_s * static_cast<double>(thread_index_) /
-                      static_cast<double>(options_.threads);
-    auto due = start_ + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double>(
-                                offset_s + interval_s *
-                                               static_cast<double>(ops_)));
-    if (deadline_ != Clock::time_point() && due > deadline_) {
-      stopped_ = true;
-      return;
-    }
-    std::this_thread::sleep_until(due);
-  }
-
   void Exec(Scope& scope, size_t index) {
     if (CheckDeadline()) return;
     const WorkloadNode& node = scope.spec->node(index);
     if (node.IsOp()) {
-      Pace();
-      if (stopped_) return;
       ExecOp(scope, node);
       return;
     }
@@ -251,8 +227,6 @@ class Worker {
 
   const RunnerOptions& options_;
   Rng rng_;
-  int thread_index_;
-  Clock::time_point start_;
   Clock::time_point deadline_;
   serve::ClientOptions client_options_;
   chaos::FaultPlan plan_;  // empty (never fires) without a chaos block
@@ -306,11 +280,10 @@ StatusOr<RunResult> RunWorkload(const WorkloadSpec& spec,
   }
 
   // Setup phase: one dedicated connection, the root seed itself, no
-  // pacing, no chaos — deterministic regardless of thread count.
+  // chaos — deterministic regardless of thread count.
   if (!spec.setup.empty()) {
-    Worker setup_worker(options, options.seed, /*thread_index=*/0, start,
-                        deadline, serve::ClientOptions{},
-                        chaos::ChaosConfig{});
+    Worker setup_worker(options, options.seed, /*thread_index=*/0, deadline,
+                        serve::ClientOptions{}, chaos::ChaosConfig{});
     RTP_RETURN_IF_ERROR(setup_worker.Connect());
     RTP_ASSIGN_OR_RETURN(std::unique_ptr<Scope> setup_scope,
                          BuildScope(spec, ""));
@@ -333,8 +306,8 @@ StatusOr<RunResult> RunWorkload(const WorkloadSpec& spec,
   scopes.reserve(static_cast<size_t>(options.threads));
   for (int i = 0; i < options.threads; ++i) {
     workers.push_back(std::make_unique<Worker>(
-        options, seeds[static_cast<size_t>(i)], i, start, deadline,
-        measured_client, spec.chaos));
+        options, seeds[static_cast<size_t>(i)], i, deadline, measured_client,
+        spec.chaos));
     RTP_RETURN_IF_ERROR(workers.back()->Connect());
     RTP_ASSIGN_OR_RETURN(std::unique_ptr<Scope> scope, BuildScope(spec, ""));
     scopes.push_back(std::move(scope));

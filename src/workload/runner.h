@@ -4,9 +4,8 @@
 // Closed-loop load runner for workload specs (docs/WORKLOADS.md): N
 // client threads, each with its own serve::Client connection to a live
 // rtpd socket and its own splitmix64 Rng, walk the spec's node graph and
-// record per-node latency stats. An optional target rate turns the run
-// open-loop: each thread paces its ops on a fixed schedule instead of
-// issuing the next op as soon as the previous response lands.
+// record per-node latency stats. Each thread issues its next op as soon
+// as the previous response lands.
 //
 // Seeding contract: thread seeds derive from the root seed by drawing
 // `threads` values from Rng(seed), so (spec, seed, threads) fixes every
@@ -41,9 +40,6 @@ struct RunnerOptions {
   // Threads stop at the next op boundary once the cap passes (which
   // breaks same-seed count reproducibility when it actually triggers).
   double duration_s = 0;
-  // Open-loop mode: total target op rate across all threads (ops/sec);
-  // 0 = closed loop.
-  double target_rate = 0;
 };
 
 struct RunResult {

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "serve/json.h"
 #include "workload/generator.h"
 
 namespace rtp::workload {
@@ -109,13 +110,8 @@ StatusOr<GeneratorSpec> ParseGeneratorSpec(const std::string& name,
   GeneratorSpec spec;
   spec.name = name;
   spec.kind = config.FindString("kind");
-  spec.config = config;
   if (spec.kind.empty()) {
     return InvalidArgumentError("generator '" + name + "' needs a 'kind'");
-  }
-  if (!GeneratorKindRegistered(spec.kind)) {
-    return InvalidArgumentError("generator '" + name + "': unknown kind '" +
-                                spec.kind + "'");
   }
   Status params_ok = ParseTextGenParams(config, &spec.text_params);
   if (!params_ok.ok()) {
@@ -142,8 +138,8 @@ StatusOr<GeneratorSpec> ParseGeneratorSpec(const std::string& name,
       spec.payloads.push_back(std::move(payload));
     }
   }
-  // Probe the factory once at parse time so misconfiguration surfaces
-  // here, not on runner thread N at traffic time.
+  // Instantiate once at parse time so an unknown kind or a
+  // misconfiguration surfaces here, not on runner thread N at traffic time.
   auto probe = CreateGenerator(spec);
   if (!probe.ok()) return probe.status();
   return spec;

@@ -8,9 +8,9 @@
 // map 1:1 onto the serve::Client request wrappers (eval / checkfd /
 // matrix / load / stats), control nodes compose them (random_choice with
 // integer weights, sequence, do_all, loop by count or duration, nested
-// sub-workloads), and generator specs describe pluggable payload sources
-// (rtp::fuzz seeded generators, recorded files, exam-session synthesis —
-// see workload/generator.h).
+// sub-workloads), and generator specs describe payload sources (rtp::fuzz
+// seeded generators, recorded files, exam-session synthesis — see
+// workload/generator.h).
 //
 // The parser uses the dependency-free serve/json.h value; specs live
 // under examples/workloads/. Parsing is strict: unknown keys, unknown
@@ -36,17 +36,15 @@
 #include "common/status.h"
 #include "fuzz/generators.h"
 #include "guard/guard.h"
-#include "serve/json.h"
 
 namespace rtp::workload {
 
 // Sentinel for "no node reference".
 inline constexpr size_t kNoNode = static_cast<size_t>(-1);
 
-// A named payload source (workload/generator.h). `kind` selects a factory
-// in the generator registry; `config` is the raw JSON object so plugged-in
-// kinds can define their own parameters. The built-in fuzz_* kinds also
-// get their TextGenParams pre-parsed into `text_params`.
+// A named payload source (workload/generator.h). `kind` is one of the five
+// generator kinds; the fuzz_* kinds get their TextGenParams pre-parsed into
+// `text_params`.
 struct GeneratorSpec {
   std::string name;
   std::string kind;
@@ -56,7 +54,6 @@ struct GeneratorSpec {
   // the spec resolve relative to the spec file's directory), cycled
   // round-robin per generator instance.
   std::vector<std::string> payloads;
-  serve::JsonValue config;
 };
 
 enum class NodeKind : uint8_t {

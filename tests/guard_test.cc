@@ -1,7 +1,7 @@
 // Tests for rtp::guard: budget axes, sticky trips, cancellation, scoped
 // installation, parser depth caps, per-item degradation of the batch
 // APIs, per-cell degradation of the independence matrix on the PSPACE
-// hardness gadget, and (in -DRTP_FAILPOINTS=ON builds) fault injection.
+// hardness gadget, and fault injection through failpoints.
 
 #include "guard/guard.h"
 
@@ -438,16 +438,11 @@ TEST(GuardGadgetTest, MatrixDegradesPathologicalCellsPerCell) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection (compiled in by the failpoints CI leg).
+// Fault injection.
 
 class GuardFailpointTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!guard::FailpointsCompiledIn()) {
-      GTEST_SKIP() << "build without -DRTP_FAILPOINTS=ON";
-    }
-    guard::DisarmAllFailpoints();
-  }
+  void SetUp() override { guard::DisarmAllFailpoints(); }
   void TearDown() override { guard::DisarmAllFailpoints(); }
 };
 

@@ -336,39 +336,6 @@ TEST(WorkloadSpecTest, GoldenChaosSpecParses) {
   EXPECT_GT(spec->chaos_call_timeout_ms, 0);
 }
 
-// The pluggable generator registry: a custom kind registers, resolves
-// during parse, and produces payloads (the codes-workload extension
-// point).
-TEST(WorkloadGeneratorTest, CustomKindPlugsIn) {
-  RegisterGeneratorKind(
-      "test_constant",
-      [](const GeneratorSpec& spec) -> StatusOr<std::unique_ptr<Generator>> {
-        class Constant : public Generator {
-         public:
-          explicit Constant(std::string payload)
-              : payload_(std::move(payload)) {}
-          std::string Next(Rng* /*rng*/) override { return payload_; }
-
-         private:
-          std::string payload_;
-        };
-        return std::unique_ptr<Generator>(
-            new Constant(spec.config.FindString("payload")));
-      });
-  ASSERT_TRUE(GeneratorKindRegistered("test_constant"));
-
-  auto spec = ParseWorkloadSpec(R"({
-    "name": "x", "root": "a",
-    "generators": {"g": {"kind": "test_constant", "payload": "root {} select r;"}},
-    "nodes": {"a": {"op": "eval", "doc": "d", "generator": "g"}}
-  })");
-  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  auto gen = CreateGenerator(spec->generators[0]);
-  ASSERT_TRUE(gen.ok());
-  Rng rng(1);
-  EXPECT_EQ((*gen)->Next(&rng), "root {} select r;");
-}
-
 TEST(WorkloadGeneratorTest, FuzzGeneratorsAreSeedDeterministic) {
   auto spec = ParseWorkloadSpec(R"({
     "name": "x", "root": "a",

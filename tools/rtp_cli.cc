@@ -45,6 +45,15 @@
 //   --max-states=N       automaton-state quota per budgeted run.
 //   --max-memory-mb=N    approximate memory budget (evaluation tables,
 //                        dense DFA tables) per budgeted run.
+//   --socket=PATH        run eval, checkfd or matrix on the rtpd listening
+//                        at PATH (docs/SERVING.md) instead of in process.
+//                        Each XML file is loaded into tenant "rtp_cli"
+//                        under its path as the document name, and the
+//                        budget flags become the request budget. Output
+//                        and exit codes are those of the in-process run.
+//                        --jobs, --profile, --trace-out and explain only
+//                        mean something in process: with --socket they
+//                        are usage errors, as are the other subcommands.
 //
 // checkfd and eval accept several XML files; the documents are processed
 // in parallel under --jobs but reported strictly in command-line order,
@@ -83,6 +92,7 @@
 #include "pattern/evaluator.h"
 #include "pattern/pattern_parser.h"
 #include "schema/schema.h"
+#include "serve/client.h"
 #include "update/update_class.h"
 #include "view/view.h"
 #include "xml/xml_io.h"
@@ -126,7 +136,9 @@ int Usage(const char* detail = nullptr) {
                "       --max-states=N     automaton-state quota per "
                "budgeted run\n"
                "       --max-memory-mb=N  approximate memory budget per "
-               "budgeted run\n");
+               "budgeted run\n"
+               "       --socket=PATH      run eval, checkfd or matrix on the "
+               "rtpd at PATH\n");
   return 2;
 }
 
@@ -180,91 +192,176 @@ std::vector<const xml::Document*> DocPointers(
   return ptrs;
 }
 
+// How eval, checkfd and matrix run.
+struct RunOptions {
+  int jobs = 1;
+  guard::ExecutionBudget budget;
+  std::vector<obs::QueryProfile>* profiles = nullptr;
+  // Non-empty: the rtpd socket that runs the op instead of this process.
+  std::string socket;
+};
+
+// The tenant a --socket run loads its documents into.
+constexpr char kServedTenant[] = "rtp_cli";
+
+// The --socket backend of checkfd and eval: loads every XML file into
+// kServedTenant under its path, then runs `op` once per document. A budget
+// trip degrades its document alone, as in process; any other error fails
+// the command.
+template <typename Result, typename Op>
+StatusOr<std::vector<StatusOr<Result>>> ServePerDocument(
+    const std::string& socket, const std::vector<std::string>& xml_paths,
+    Op op) {
+  RTP_ASSIGN_OR_RETURN(serve::Client client, serve::Client::Connect(socket));
+  for (const std::string& path : xml_paths) {
+    RTP_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+    RTP_RETURN_IF_ERROR(client.Load(kServedTenant, path, text));
+  }
+  std::vector<StatusOr<Result>> results;
+  for (const std::string& path : xml_paths) {
+    StatusOr<Result> result = op(client, path);
+    if (!result.ok() && !guard::IsResourceStatus(result.status())) {
+      return result.status();
+    }
+    results.push_back(std::move(result));
+  }
+  return results;
+}
+
 int CmdCheckFd(Alphabet* alphabet, const std::string& fd_path,
-               const std::vector<std::string>& xml_paths, int jobs,
-               const guard::ExecutionBudget& budget,
-               std::vector<obs::QueryProfile>* profiles) {
+               const std::vector<std::string>& xml_paths,
+               const RunOptions& run) {
   CLI_ASSIGN(fd_text, ReadFile(fd_path));
-  CLI_ASSIGN(parsed, pattern::ParsePattern(alphabet, fd_text));
-  CLI_ASSIGN(fd, fd::FunctionalDependency::FromParsed(std::move(parsed)));
-  CLI_ASSIGN(docs, ParseXmlFiles(alphabet, xml_paths));
-  fd::BatchCheckOptions options;
-  options.jobs = jobs;
-  options.check.budget = budget;
-  options.profiles = profiles;
-  std::vector<fd::CheckResult> results =
-      fd::CheckFdBatch(fd, DocPointers(docs), options);
+  std::vector<StatusOr<serve::CheckFdResult>> results;
+  if (!run.socket.empty()) {
+    serve::CallOptions call;
+    call.budget = run.budget;
+    auto check = [&](serve::Client& client, const std::string& doc) {
+      return client.CheckFd(kServedTenant, doc, fd_text, call);
+    };
+    CLI_ASSIGN(served, ServePerDocument<serve::CheckFdResult>(
+                           run.socket, xml_paths, check));
+    results = std::move(served);
+  } else {
+    CLI_ASSIGN(parsed, pattern::ParsePattern(alphabet, fd_text));
+    CLI_ASSIGN(fd, fd::FunctionalDependency::FromParsed(std::move(parsed)));
+    CLI_ASSIGN(docs, ParseXmlFiles(alphabet, xml_paths));
+    fd::BatchCheckOptions options;
+    options.jobs = run.jobs;
+    options.check.budget = run.budget;
+    options.profiles = run.profiles;
+    std::vector<fd::CheckResult> checked =
+        fd::CheckFdBatch(fd, DocPointers(docs), options);
+    for (size_t d = 0; d < checked.size(); ++d) {
+      const fd::CheckResult& r = checked[d];
+      if (!r.status.ok()) {
+        results.push_back(r.status);
+        continue;
+      }
+      results.push_back(serve::CheckFdResult{
+          r.satisfied, static_cast<int64_t>(r.num_mappings),
+          static_cast<int64_t>(r.num_groups),
+          r.satisfied ? "" : r.violation->Describe(docs[d], fd)});
+    }
+  }
   bool all_satisfied = true;
   bool any_over_budget = false;
   for (size_t d = 0; d < results.size(); ++d) {
-    const fd::CheckResult& result = results[d];
     // Single-document invocations keep the historical un-prefixed format.
     if (xml_paths.size() > 1) std::printf("%s: ", xml_paths[d].c_str());
-    if (!result.status.ok()) {
+    if (!results[d].ok()) {
       // The budget tripped on this document: there is no verdict, which
       // is neither "satisfied" nor "violated".
       any_over_budget = true;
-      std::printf("no verdict (%s)\n", result.status.ToString().c_str());
+      std::printf("no verdict (%s)\n", results[d].status().ToString().c_str());
       continue;
     }
+    const serve::CheckFdResult& result = *results[d];
     all_satisfied = all_satisfied && result.satisfied;
-    std::printf("%s (%zu mappings, %zu groups)\n",
+    std::printf("%s (%lld mappings, %lld groups)\n",
                 result.satisfied ? "satisfied" : "VIOLATED",
-                result.num_mappings, result.num_groups);
-    if (!result.satisfied) {
-      std::printf("%s", result.violation->Describe(docs[d], fd).c_str());
-    }
+                static_cast<long long>(result.mappings),
+                static_cast<long long>(result.groups));
+    if (!result.satisfied) std::printf("%s", result.violation.c_str());
   }
   if (any_over_budget) return 2;
   return all_satisfied ? 0 : 1;
 }
 
+// Renders `tuples` sorted by document order (lexicographic preorder
+// comparison), not in enumeration order: enumeration order is an
+// implementation detail of the match tables, and output must be stable
+// for any --jobs value and across evaluator changes. rtpd renders the
+// same way.
+serve::EvalResult RenderInDocumentOrder(
+    const xml::Document& doc,
+    std::vector<std::vector<xml::NodeId>> tuples) {
+  std::sort(tuples.begin(), tuples.end(),
+            [&doc](const std::vector<xml::NodeId>& a,
+                   const std::vector<xml::NodeId>& b) {
+              for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+                uint32_t pa = doc.PreorderIndex(a[i]);
+                uint32_t pb = doc.PreorderIndex(b[i]);
+                if (pa != pb) return pa < pb;
+              }
+              return a.size() < b.size();
+            });
+  serve::EvalResult result;
+  for (const auto& tuple : tuples) {
+    std::vector<std::string> row;
+    for (xml::NodeId n : tuple) {
+      row.push_back(xml::WriteXmlSubtree(doc, n, /*indent=*/false));
+    }
+    result.tuples.push_back(std::move(row));
+  }
+  return result;
+}
+
 int CmdEval(Alphabet* alphabet, const std::string& pattern_path,
-            const std::vector<std::string>& xml_paths, int jobs,
-            const guard::ExecutionBudget& budget,
-            std::vector<obs::QueryProfile>* profiles) {
+            const std::vector<std::string>& xml_paths,
+            const RunOptions& run) {
   CLI_ASSIGN(pattern_text, ReadFile(pattern_path));
-  CLI_ASSIGN(parsed, pattern::ParsePattern(alphabet, pattern_text));
-  CLI_ASSIGN(docs, ParseXmlFiles(alphabet, xml_paths));
-  pattern::EvalBatchOptions options;
-  options.jobs = jobs;
-  options.budget = budget;
-  options.profiles = profiles;
-  std::vector<Status> statuses;
-  auto per_doc = pattern::EvaluateSelectedBatch(parsed.pattern,
-                                                DocPointers(docs), options,
-                                                &statuses);
+  std::vector<StatusOr<serve::EvalResult>> results;
+  if (!run.socket.empty()) {
+    serve::CallOptions call;
+    call.budget = run.budget;
+    auto eval = [&](serve::Client& client, const std::string& doc) {
+      return client.Eval(kServedTenant, doc, pattern_text, call);
+    };
+    CLI_ASSIGN(served, ServePerDocument<serve::EvalResult>(
+                           run.socket, xml_paths, eval));
+    results = std::move(served);
+  } else {
+    CLI_ASSIGN(parsed, pattern::ParsePattern(alphabet, pattern_text));
+    CLI_ASSIGN(docs, ParseXmlFiles(alphabet, xml_paths));
+    pattern::EvalBatchOptions options;
+    options.jobs = run.jobs;
+    options.budget = run.budget;
+    options.profiles = run.profiles;
+    std::vector<Status> statuses;
+    auto per_doc = pattern::EvaluateSelectedBatch(
+        parsed.pattern, DocPointers(docs), options, &statuses);
+    for (size_t d = 0; d < per_doc.size(); ++d) {
+      if (statuses[d].ok()) {
+        results.push_back(
+            RenderInDocumentOrder(docs[d], std::move(per_doc[d])));
+      } else {
+        results.push_back(statuses[d]);
+      }
+    }
+  }
   bool any_over_budget = false;
-  for (size_t d = 0; d < per_doc.size(); ++d) {
-    if (!statuses[d].ok()) {
+  for (size_t d = 0; d < results.size(); ++d) {
+    if (xml_paths.size() > 1) std::printf("%s: ", xml_paths[d].c_str());
+    if (!results[d].ok()) {
       any_over_budget = true;
-      if (xml_paths.size() > 1) std::printf("%s: ", xml_paths[d].c_str());
-      std::printf("no result (%s)\n", statuses[d].ToString().c_str());
+      std::printf("no result (%s)\n", results[d].status().ToString().c_str());
       continue;
     }
-    const xml::Document& doc = docs[d];
-    auto& tuples = per_doc[d];
-    // Emit tuples sorted by document order (lexicographic preorder
-    // comparison), not in enumeration order: enumeration order is an
-    // implementation detail of the match tables, and output must be
-    // stable for any --jobs value and across evaluator changes.
-    std::sort(tuples.begin(), tuples.end(),
-              [&doc](const std::vector<xml::NodeId>& a,
-                     const std::vector<xml::NodeId>& b) {
-                for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-                  uint32_t pa = doc.PreorderIndex(a[i]);
-                  uint32_t pb = doc.PreorderIndex(b[i]);
-                  if (pa != pb) return pa < pb;
-                }
-                return a.size() < b.size();
-              });
-    if (xml_paths.size() > 1) std::printf("%s: ", xml_paths[d].c_str());
-    std::printf("%zu tuple(s)\n", tuples.size());
-    for (const auto& tuple : tuples) {
+    std::printf("%zu tuple(s)\n", results[d]->tuples.size());
+    for (const auto& tuple : results[d]->tuples) {
       for (size_t i = 0; i < tuple.size(); ++i) {
-        std::printf(
-            "%s%s", i ? "\t" : "",
-            xml::WriteXmlSubtree(doc, tuple[i], /*indent=*/false).c_str());
+        std::printf("%s%s", i ? "\t" : "", tuple[i].c_str());
       }
       std::printf("\n");
     }
@@ -339,53 +436,102 @@ std::string Basename(const std::string& path) {
   return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
+// A served matrix as the IndependenceMatrix the in-process path prints.
+// Only the code of a tripped cell's status crosses the wire, and it is all
+// that ToString prints.
+StatusOr<independence::IndependenceMatrix> ToIndependenceMatrix(
+    const serve::MatrixResult& served, size_t num_fds, size_t num_classes) {
+  if (served.cells.size() != num_fds * num_classes) {
+    return TransportError("matrix response has " +
+                          std::to_string(served.cells.size()) +
+                          " cells, expected " +
+                          std::to_string(num_fds * num_classes));
+  }
+  independence::IndependenceMatrix matrix;
+  matrix.num_fds = num_fds;
+  matrix.num_classes = num_classes;
+  for (const serve::MatrixCell& cell : served.cells) {
+    matrix.entries.push_back({cell.fd_index, cell.class_index,
+                              cell.independent, cell.product_size,
+                              Status(cell.status, "")});
+  }
+  return matrix;
+}
+
 int CmdMatrix(Alphabet* alphabet, const std::string& fd_list,
               const std::string& update_list, const std::string& schema_path,
-              int jobs, const guard::ExecutionBudget& budget,
-              std::vector<obs::QueryProfile>* profiles) {
+              const RunOptions& run) {
   std::vector<std::string> fd_paths = SplitCommaList(fd_list);
   std::vector<std::string> update_paths = SplitCommaList(update_list);
-
-  std::vector<fd::FunctionalDependency> fds;
-  fds.reserve(fd_paths.size());
+  std::vector<std::string> fd_texts;
   for (const std::string& path : fd_paths) {
     CLI_ASSIGN(text, ReadFile(path));
-    CLI_ASSIGN(parsed, pattern::ParsePattern(alphabet, text));
-    CLI_ASSIGN(fd, fd::FunctionalDependency::FromParsed(std::move(parsed)));
-    fds.push_back(std::move(fd));
+    fd_texts.push_back(std::move(text));
   }
-  std::vector<update::UpdateClass> classes;
-  classes.reserve(update_paths.size());
+  std::vector<std::string> class_texts;
   for (const std::string& path : update_paths) {
     CLI_ASSIGN(text, ReadFile(path));
-    CLI_ASSIGN(parsed, pattern::ParsePattern(alphabet, text));
-    CLI_ASSIGN(cls, update::UpdateClass::FromParsed(std::move(parsed)));
-    classes.push_back(std::move(cls));
+    class_texts.push_back(std::move(text));
   }
-
-  std::optional<schema::Schema> schema_storage;
-  const schema::Schema* schema = nullptr;
+  std::string schema_text;
   if (!schema_path.empty()) {
-    CLI_ASSIGN(schema_text, ReadFile(schema_path));
-    CLI_ASSIGN(parsed_schema, schema::Schema::Parse(alphabet, schema_text));
-    schema_storage = std::move(parsed_schema);
-    schema = &*schema_storage;
+    CLI_ASSIGN(text, ReadFile(schema_path));
+    schema_text = std::move(text);
   }
 
-  std::vector<const fd::FunctionalDependency*> fd_ptrs;
-  for (const auto& fd : fds) fd_ptrs.push_back(&fd);
-  std::vector<const update::UpdateClass*> class_ptrs;
-  for (const auto& cls : classes) class_ptrs.push_back(&cls);
+  independence::IndependenceMatrix matrix;
+  if (!run.socket.empty()) {
+    serve::CallOptions call;
+    call.budget = run.budget;
+    CLI_ASSIGN(client, serve::Client::Connect(run.socket));
+    // Only load and quota create a tenant; an empty quota creates it with
+    // no default budget, as a load would.
+    Status created = client.Quota(kServedTenant, guard::ExecutionBudget{});
+    if (!created.ok()) {
+      std::fprintf(stderr, "error: %s\n", created.ToString().c_str());
+      return 2;
+    }
+    CLI_ASSIGN(served, client.Matrix(kServedTenant, fd_texts, class_texts,
+                                     schema_text, call));
+    CLI_ASSIGN(converted, ToIndependenceMatrix(served, fd_paths.size(),
+                                               update_paths.size()));
+    matrix = std::move(converted);
+  } else {
+    std::vector<fd::FunctionalDependency> fds;
+    fds.reserve(fd_texts.size());
+    for (const std::string& text : fd_texts) {
+      CLI_ASSIGN(parsed, pattern::ParsePattern(alphabet, text));
+      CLI_ASSIGN(fd, fd::FunctionalDependency::FromParsed(std::move(parsed)));
+      fds.push_back(std::move(fd));
+    }
+    std::vector<update::UpdateClass> classes;
+    classes.reserve(class_texts.size());
+    for (const std::string& text : class_texts) {
+      CLI_ASSIGN(parsed, pattern::ParsePattern(alphabet, text));
+      CLI_ASSIGN(cls, update::UpdateClass::FromParsed(std::move(parsed)));
+      classes.push_back(std::move(cls));
+    }
+    std::optional<schema::Schema> schema;
+    if (!schema_text.empty()) {
+      CLI_ASSIGN(parsed_schema, schema::Schema::Parse(alphabet, schema_text));
+      schema = std::move(parsed_schema);
+    }
 
-  independence::MatrixOptions options;
-  options.jobs = jobs;
-  options.cache = &exec::AutomatonCache::Global();
-  options.budget = budget;
-  options.profiles = profiles;
-  CLI_ASSIGN(matrix,
-             independence::ComputeIndependenceMatrix(fd_ptrs, class_ptrs,
-                                                     schema, alphabet,
-                                                     options));
+    std::vector<const fd::FunctionalDependency*> fd_ptrs;
+    for (const auto& fd : fds) fd_ptrs.push_back(&fd);
+    std::vector<const update::UpdateClass*> class_ptrs;
+    for (const auto& cls : classes) class_ptrs.push_back(&cls);
+
+    independence::MatrixOptions options;
+    options.jobs = run.jobs;
+    options.cache = &exec::AutomatonCache::Global();
+    options.budget = run.budget;
+    options.profiles = run.profiles;
+    CLI_ASSIGN(computed, independence::ComputeIndependenceMatrix(
+                             fd_ptrs, class_ptrs, schema ? &*schema : nullptr,
+                             alphabet, options));
+    matrix = std::move(computed);
+  }
 
   std::vector<std::string> fd_names;
   for (const std::string& path : fd_paths) fd_names.push_back(Basename(path));
@@ -495,12 +641,15 @@ int GuardedRun(const guard::ExecutionBudget& budget, Fn&& fn) {
   return code;
 }
 
-int Dispatch(const std::vector<std::string>& args, int jobs,
-             const guard::ExecutionBudget& budget,
-             std::vector<obs::QueryProfile>* profiles) {
+int Dispatch(const std::vector<std::string>& args, const RunOptions& run) {
   if (args.empty()) return Usage();
   const std::string& cmd = args[0];
   size_t argc = args.size();
+  if (!run.socket.empty() && cmd != "eval" && cmd != "checkfd" &&
+      cmd != "matrix") {
+    return Usage("--socket runs only eval, checkfd and matrix");
+  }
+  const guard::ExecutionBudget& budget = run.budget;
   Alphabet alphabet;
   if (cmd == "explain" && argc >= 2) {
     // `explain X ...` = run `X ...` with profiling forced on, then print
@@ -511,11 +660,11 @@ int Dispatch(const std::vector<std::string>& args, int jobs,
       return Usage("explain wraps eval, checkfd, or matrix");
     }
     std::vector<obs::QueryProfile> local;
-    std::vector<obs::QueryProfile>* target =
-        profiles != nullptr ? profiles : &local;
-    int code = Dispatch({args.begin() + 1, args.end()}, jobs, budget, target);
+    RunOptions profiled = run;
+    if (profiled.profiles == nullptr) profiled.profiles = &local;
+    int code = Dispatch({args.begin() + 1, args.end()}, profiled);
     if (code != 2) {
-      for (const obs::QueryProfile& p : *target) {
+      for (const obs::QueryProfile& p : *profiled.profiles) {
         std::printf("%s", p.ToText().c_str());
       }
     }
@@ -528,12 +677,11 @@ int Dispatch(const std::vector<std::string>& args, int jobs,
   if (cmd == "checkfd" && argc >= 3) {
     // Batch commands apply the budget per work item (inside the batch
     // API), not ambiently: one runaway document degrades alone.
-    return CmdCheckFd(&alphabet, args[1],
-                      {args.begin() + 2, args.end()}, jobs, budget, profiles);
+    return CmdCheckFd(&alphabet, args[1], {args.begin() + 2, args.end()},
+                      run);
   }
   if (cmd == "eval" && argc >= 3) {
-    return CmdEval(&alphabet, args[1], {args.begin() + 2, args.end()}, jobs,
-                   budget, profiles);
+    return CmdEval(&alphabet, args[1], {args.begin() + 2, args.end()}, run);
   }
   if (cmd == "xpath" && argc == 3) {
     return GuardedRun(budget,
@@ -547,7 +695,7 @@ int Dispatch(const std::vector<std::string>& args, int jobs,
   }
   if (cmd == "matrix" && (argc == 3 || argc == 4)) {
     return CmdMatrix(&alphabet, args[1], args[2], argc == 4 ? args[3] : "",
-                     jobs, budget, profiles);
+                     run);
   }
   if (cmd == "materialize" && argc == 3) {
     return GuardedRun(
@@ -579,8 +727,10 @@ int64_t ParseCountFlag(std::string_view arg, const char* prefix) {
 
 int main(int argc, char** argv) {
   ObsOptions obs_options;
-  int jobs = 1;
-  guard::ExecutionBudget budget;
+  RunOptions run;
+  guard::ExecutionBudget& budget = run.budget;
+  // The last flag seen that only means something in process.
+  const char* in_process_flag = nullptr;
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
@@ -591,9 +741,11 @@ int main(int argc, char** argv) {
       obs_options.stats_file = arg.substr(std::strlen("--stats="));
     } else if (arg == "--profile") {
       obs_options.profile = true;
+      in_process_flag = "--profile";
     } else if (arg.rfind("--profile=", 0) == 0) {
       obs_options.profile = true;
       obs_options.profile_file = arg.substr(std::strlen("--profile="));
+      in_process_flag = "--profile";
     } else if (arg == "--prometheus") {
       obs_options.prometheus = true;
     } else if (arg.rfind("--prometheus=", 0) == 0) {
@@ -619,6 +771,7 @@ int main(int argc, char** argv) {
       if (obs_options.trace_file.empty()) {
         return Usage("--trace-out requires a file path");
       }
+      in_process_flag = "--trace-out";
     } else if (arg.rfind("--jobs=", 0) == 0) {
       std::string value(arg.substr(std::strlen("--jobs=")));
       char* end = nullptr;
@@ -626,8 +779,9 @@ int main(int argc, char** argv) {
       if (value.empty() || *end != '\0' || parsed < 0 || parsed > 1024) {
         return Usage("--jobs requires an integer in [0, 1024]");
       }
-      jobs = parsed == 0 ? exec::ThreadPool::DefaultJobs()
-                         : static_cast<int>(parsed);
+      run.jobs = parsed == 0 ? exec::ThreadPool::DefaultJobs()
+                             : static_cast<int>(parsed);
+      in_process_flag = "--jobs";
     } else if (arg.rfind("--deadline-ms=", 0) == 0) {
       budget.deadline_ms = ParseCountFlag(arg, "--deadline-ms=");
       if (budget.deadline_ms < 0) {
@@ -644,19 +798,28 @@ int main(int argc, char** argv) {
         return Usage("--max-memory-mb requires a positive integer");
       }
       budget.max_memory_bytes = mb << 20;
+    } else if (arg.rfind("--socket=", 0) == 0) {
+      run.socket = arg.substr(std::strlen("--socket="));
+      if (run.socket.empty()) return Usage("--socket requires a path");
     } else if (arg.rfind("--", 0) == 0) {
       return Usage(("unknown flag '" + std::string(arg) + "'").c_str());
     } else {
       args.emplace_back(arg);
     }
   }
+  if (!run.socket.empty() && in_process_flag != nullptr) {
+    return Usage((std::string(in_process_flag) +
+                  " runs in process only; it cannot be combined with "
+                  "--socket")
+                     .c_str());
+  }
 
   obs::TraceSession trace_session;
   if (!obs_options.trace_file.empty()) trace_session.Start();
 
   std::vector<obs::QueryProfile> profiles;
-  int exit_code = Dispatch(args, jobs, budget,
-                           obs_options.profile ? &profiles : nullptr);
+  if (obs_options.profile) run.profiles = &profiles;
+  int exit_code = Dispatch(args, run);
 
   if (!obs_options.trace_file.empty()) {
     trace_session.Stop();

@@ -1,16 +1,15 @@
 // rtp_load — declarative load harness for rtpd (docs/WORKLOADS.md).
 //
 //   rtp_load --spec=FILE --socket=PATH [--threads=N] [--seed=S]
-//            [--duration-s=D] [--target-rate=R] [--out=FILE]
-//            [--counts-out=FILE] [--allow-errors] [--quiet]
+//            [--duration-s=D] [--out=FILE] [--counts-out=FILE]
+//            [--allow-errors] [--quiet]
 //
 // Parses a JSON workload spec (examples/workloads/), drives the rtpd
-// socket closed-loop with N client threads (open-loop at --target-rate
-// ops/sec), and reports per-node count / mean / min / max / stddev /
-// p50 / p99 latency. --out writes bench-JSON lines in the format the
-// bench/ binaries emit; --counts-out writes the sorted per-node op
-// counts (plus per-node fault-injection counts under chaos) the load and
-// chaos CI legs diff between two same-seed runs.
+// socket closed-loop with N client threads, and reports per-node count /
+// mean / min / max / stddev / p50 / p99 latency. --out writes bench-JSON
+// lines in the format the bench/ binaries emit; --counts-out writes the
+// sorted per-node op counts (plus per-node fault-injection counts under
+// chaos) the load and chaos CI legs diff between two same-seed runs.
 //
 // Exit codes (docs/ROBUSTNESS.md): 0 clean run; 1 when the run completed
 // but some responses carried op-level error statuses, or executed zero
@@ -41,8 +40,6 @@ int Usage(const char* detail = nullptr) {
       "       --seed=S         root seed; same spec+seed+threads => same\n"
       "                        per-thread op sequence (default 42)\n"
       "       --duration-s=D   wall-clock cap; 0 = run spec to completion\n"
-      "       --target-rate=R  open-loop target ops/sec across threads;\n"
-      "                        0 = closed loop (default)\n"
       "       --out=FILE       append bench-JSON result lines\n"
       "       --counts-out=FILE  write sorted per-node op counts\n"
       "       --allow-errors   exit 0 despite op/transport errors as long\n"
@@ -107,11 +104,6 @@ int main(int argc, char** argv) {
       options.duration_s = parse_double("--duration-s=");
       if (options.duration_s < 0) {
         return Usage("--duration-s requires a nonnegative number");
-      }
-    } else if (std::strncmp(arg, "--target-rate=", 14) == 0) {
-      options.target_rate = parse_double("--target-rate=");
-      if (options.target_rate < 0) {
-        return Usage("--target-rate requires a nonnegative number");
       }
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
       out_path = arg + 6;

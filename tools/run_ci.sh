@@ -31,22 +31,18 @@
 #                 each harness for RTP_FUZZ_SECONDS (default 30) seconds.
 #                 Non-zero on any crash / oracle violation. See
 #                 docs/FUZZING.md.
-#   failpoints    -DRTP_FAILPOINTS=ON -DRTP_SANITIZE=address,undefined —
-#                 the guard + status suites with fault injection compiled
-#                 in (the failpoint tests GTEST_SKIP themselves everywhere
-#                 else). See docs/ROBUSTNESS.md.
 #   obs-off       -DRTP_OBS_DISABLED=ON — full ctest suite with every
 #                 rtp::obs macro compiled to a no-op, so the disabled
 #                 path (and the tests' SKIP guards) cannot rot. See
 #                 docs/OBSERVABILITY.md.
-#   serve         builds rtpd + rtpd_client + the serve battery in the
-#                 plain and tsan trees, runs `ctest -L serve` in both,
-#                 then smoke-tests a real daemon: starts rtpd on a temp
-#                 socket, loads examples/data/exam.xml, and diffs an
-#                 rtpd_client eval round-trip against the serial
-#                 `rtp_cli eval` output (the bit-identity contract of
+#   serve         builds rtpd + rtp_cli + the serve battery in the plain
+#                 and tsan trees, runs `ctest -L serve` in both, then
+#                 smoke-tests a real daemon: starts rtpd on a temp socket
+#                 and runs `rtp_cli` eval, checkfd and matrix on
+#                 examples/data both serially and with --socket; stdout
+#                 and exit codes must match (the bit-identity contract of
 #                 docs/SERVING.md).
-#   load          builds rtpd + rtpd_client + rtp_load in the plain tree,
+#   load          builds rtpd + rtp_load + rtp_cli in the plain tree,
 #                 starts a real daemon, and runs the committed
 #                 examples/workloads/smoke.json twice with the same seed
 #                 (4 client threads). rtp_load exits non-zero on any
@@ -54,37 +50,38 @@
 #                 diffs the two --counts-out files: same-seed runs must
 #                 produce byte-identical per-node op counts (the
 #                 reproducibility contract of docs/WORKLOADS.md).
-#   chaos         the fault-injection leg (docs/ROBUSTNESS.md). Three
+#   chaos         the fault-injection leg (docs/ROBUSTNESS.md). Two
 #                 phases: (1) a real daemon under the committed
-#                 examples/workloads/chaos.json — client-side seeded fault
-#                 injection — twice with one seed, diffing the two
+#                 examples/workloads/chaos.json — seeded fault injection
+#                 in serve::Client — twice with one seed, diffing the two
 #                 --counts-out files (which include the per-node
-#                 fault.<kind> injection counts); (2) the smoke spec driven
-#                 through rtp_chaos_proxy with wire-level faults against
-#                 the same daemon, asserting the run completes and the
-#                 daemon still answers afterwards; (3) `ctest -R
-#                 'Chaos|Framer|Overload|Degradation'` in the tsan tree.
-#                 Every phase requires: zero hangs, zero daemon exits,
-#                 every fault retried or surfaced as a structured error.
+#                 fault.<kind> injection counts), then checking that the
+#                 daemon still answers exactly as serial rtp_cli does;
+#                 (2) `ctest -R 'Chaos|Framer|Overload|Degradation'` in
+#                 the tsan tree. Every phase requires: zero hangs, zero
+#                 daemon exits, every fault retried or surfaced as a
+#                 structured error.
 #   format        clang-format --dry-run --Werror over src/ tests/ tools/
 #                 fuzz/ (skipped with a notice when clang-format is not
 #                 installed).
 #
+# The serve, load and chaos legs stop their daemon with SIGTERM, which
+# drains in-flight requests; rtpd must then exit 0.
+#
 # usage: tools/run_ci.sh [leg] [build-dir-prefix]
 #
 #   leg               all (default) | plain | asan-ubsan | tsan | perf |
-#                     fuzz | failpoints | obs-off | serve | load | chaos |
-#                     format
+#                     fuzz | obs-off | serve | load | chaos | format
 #   build-dir-prefix  defaults to ./build-ci; the build trees are
 #                     <prefix>-plain, <prefix>-asan-ubsan, <prefix>-tsan,
-#                     <prefix>-fuzz, <prefix>-failpoints, <prefix>-obs-off.
+#                     <prefix>-fuzz, <prefix>-obs-off.
 #
 # Exits non-zero on the first failing leg.
 set -euo pipefail
 
 leg="all"
 case "${1:-}" in
-  all|plain|asan-ubsan|tsan|perf|fuzz|failpoints|obs-off|serve|load|chaos|format)
+  all|plain|asan-ubsan|tsan|perf|fuzz|obs-off|serve|load|chaos|format)
     leg="$1"
     shift
     ;;
@@ -92,6 +89,13 @@ esac
 prefix="${1:-build-ci}"
 jobs="$(nproc 2>/dev/null || echo 2)"
 source_dir="$(cd "$(dirname "$0")/.." && pwd)"
+
+# Every daemon the legs start and every work dir they make. The EXIT trap
+# removes them however the script ends, a failed step under `set -e`
+# included; `kill` of a daemon already stopped fails harmlessly.
+started_pids=()
+work_dirs=()
+trap 'kill "${started_pids[@]}" 2>/dev/null || true; rm -rf "${work_dirs[@]}"' EXIT
 
 run_leg() {
   local name="$1" sanitize="$2" ctest_args="$3" extra_cmake="${4:-}"
@@ -124,8 +128,7 @@ run_fuzz() {
     fuzz_regex fuzz_pattern fuzz_schema fuzz_xml fuzz_differential fuzz_serve
   local scratch
   scratch="$(mktemp -d)"
-  # shellcheck disable=SC2064  # expand $scratch now, not at trap time
-  trap "rm -rf '$scratch'" RETURN
+  work_dirs+=("$scratch")
   local name
   for name in regex pattern schema xml differential serve; do
     echo "==== [fuzz] $name: replay fuzz/corpus/$name" >&2
@@ -139,44 +142,68 @@ run_fuzz() {
   done
 }
 
-run_failpoints() {
-  local build_dir="${prefix}-failpoints"
-  echo "==== [failpoints] configure (RTP_FAILPOINTS=ON, ASan+UBSan)" >&2
-  cmake -B "$build_dir" -S "$source_dir" -DRTP_FAILPOINTS=ON \
-    -DRTP_SANITIZE="address,undefined" > /dev/null
-  echo "==== [failpoints] build" >&2
-  cmake --build "$build_dir" -j "$jobs" --target rtp_tests
-  echo "==== [failpoints] ctest -R '(Guard|Status)'" >&2
-  (cd "$build_dir" && ctest --output-on-failure -j "$jobs" \
-    -R '(Guard|Status)')
+# Starts rtpd on socket $2 with the flags that follow, sets rtpd_pid, and
+# waits up to 5 s for the socket to appear.
+start_rtpd() {
+  local build_dir="$1" sock="$2"
+  shift 2
+  echo "==== starting rtpd on $sock" >&2
+  "$build_dir/tools/rtpd" --socket="$sock" "$@" &
+  rtpd_pid=$!
+  started_pids+=("$rtpd_pid")
+  local i
+  for i in $(seq 1 50); do
+    [ -S "$sock" ] && return 0
+    sleep 0.1
+  done
+  echo "rtpd did not come up" >&2
+  return 1
+}
+
+# SIGTERM drains the daemon's in-flight requests; rtpd must then exit 0.
+stop_rtpd() {
+  kill -TERM "$rtpd_pid"
+  wait "$rtpd_pid" || { echo "rtpd exited with status $?" >&2; return 1; }
+}
+
+# Runs rtp_cli's eval, checkfd and matrix on examples/data serially and
+# through the daemon at $2; stdout and exit codes must match.
+served_equals_serial() {
+  local build_dir="$1" sock="$2" workdir="$3"
+  local data="$source_dir/examples/data"
+  local cmd serial_code served_code
+  local -a args
+  for cmd in eval checkfd matrix; do
+    case "$cmd" in
+      eval) args=(eval "$data/update_u.pattern" "$data/exam.xml") ;;
+      checkfd) args=(checkfd "$data/fd1.fd" "$data/exam.xml") ;;
+      matrix) args=(matrix "$data/fd1.fd,$data/fd5.fd"
+                    "$data/update_u.pattern" "$data/exam.schema") ;;
+    esac
+    serial_code=0
+    served_code=0
+    "$build_dir/tools/rtp_cli" "${args[@]}" > "$workdir/serial.txt" ||
+      serial_code=$?
+    "$build_dir/tools/rtp_cli" --socket="$sock" "${args[@]}" \
+      > "$workdir/served.txt" || served_code=$?
+    diff -u "$workdir/serial.txt" "$workdir/served.txt"
+    if [ "$serial_code" != "$served_code" ]; then
+      echo "rtp_cli $cmd: serial exit $serial_code, served exit" \
+        "$served_code" >&2
+      return 1
+    fi
+  done
 }
 
 run_serve_smoke() {
   local build_dir="$1"
-  local sock workdir
+  local workdir
   workdir="$(mktemp -d)"
-  sock="$workdir/rtpd.sock"
-  echo "==== [serve] smoke: rtpd round-trip on $sock" >&2
-  "$build_dir/tools/rtpd" --socket="$sock" --jobs=2 &
-  local rtpd_pid=$!
-  # shellcheck disable=SC2064  # expand now: kill the daemon we started
-  trap "kill $rtpd_pid 2>/dev/null; wait $rtpd_pid 2>/dev/null; rm -rf '$workdir'" RETURN
-  local i
-  for i in $(seq 1 50); do
-    [ -S "$sock" ] && break
-    sleep 0.1
-  done
-  [ -S "$sock" ] || { echo "rtpd did not come up" >&2; return 1; }
-  "$build_dir/tools/rtpd_client" --socket="$sock" load smoke exam \
-    "$source_dir/examples/data/exam.xml"
-  "$build_dir/tools/rtpd_client" --socket="$sock" eval smoke exam \
-    "$source_dir/examples/data/update_u.pattern" > "$workdir/served.txt"
-  "$build_dir/tools/rtp_cli" eval \
-    "$source_dir/examples/data/update_u.pattern" \
-    "$source_dir/examples/data/exam.xml" > "$workdir/serial.txt"
-  diff -u "$workdir/serial.txt" "$workdir/served.txt"
-  "$build_dir/tools/rtpd_client" --socket="$sock" shutdown
-  wait "$rtpd_pid"
+  work_dirs+=("$workdir")
+  start_rtpd "$build_dir" "$workdir/rtpd.sock" --jobs=2
+  echo "==== [serve] smoke: rtp_cli --socket against serial rtp_cli" >&2
+  served_equals_serial "$build_dir" "$workdir/rtpd.sock" "$workdir"
+  stop_rtpd
   echo "==== [serve] smoke: resident output identical to serial rtp_cli" >&2
 }
 
@@ -184,8 +211,7 @@ run_serve() {
   local build_dir="${prefix}-plain"
   echo "==== [serve] configure + build (plain)" >&2
   cmake -B "$build_dir" -S "$source_dir" -DRTP_SANITIZE="" > /dev/null
-  cmake --build "$build_dir" -j "$jobs" --target \
-    rtpd rtpd_client rtp_cli rtp_serve_tests
+  cmake --build "$build_dir" -j "$jobs" --target rtpd rtp_cli rtp_serve_tests
   echo "==== [serve] ctest -L serve (plain)" >&2
   (cd "$build_dir" &&
     ctest --output-on-failure --no-tests=error -j "$jobs" -L serve)
@@ -207,21 +233,12 @@ run_load() {
   local build_dir="${prefix}-plain"
   echo "==== [load] configure + build (plain)" >&2
   cmake -B "$build_dir" -S "$source_dir" -DRTP_SANITIZE="" > /dev/null
-  cmake --build "$build_dir" -j "$jobs" --target rtpd rtpd_client rtp_load
+  cmake --build "$build_dir" -j "$jobs" --target rtpd rtp_load rtp_cli
   local workdir sock
   workdir="$(mktemp -d)"
+  work_dirs+=("$workdir")
   sock="$workdir/rtpd.sock"
-  echo "==== [load] starting rtpd on $sock" >&2
-  "$build_dir/tools/rtpd" --socket="$sock" --jobs=4 &
-  local rtpd_pid=$!
-  # shellcheck disable=SC2064  # expand now: kill the daemon we started
-  trap "kill $rtpd_pid 2>/dev/null; wait $rtpd_pid 2>/dev/null; rm -rf '$workdir'" RETURN
-  local i
-  for i in $(seq 1 50); do
-    [ -S "$sock" ] && break
-    sleep 0.1
-  done
-  [ -S "$sock" ] || { echo "rtpd did not come up" >&2; return 1; }
+  start_rtpd "$build_dir" "$sock" --jobs=4
   local run
   for run in 1 2; do
     echo "==== [load] smoke workload run $run (4 threads, seed 42)" >&2
@@ -232,42 +249,30 @@ run_load() {
   done
   echo "==== [load] diffing per-node op counts across the two runs" >&2
   diff -u "$workdir/counts1.txt" "$workdir/counts2.txt"
-  "$build_dir/tools/rtpd_client" --socket="$sock" shutdown
-  wait "$rtpd_pid"
+  echo "==== [load] daemon still answers as serial rtp_cli does" >&2
+  served_equals_serial "$build_dir" "$sock" "$workdir"
+  stop_rtpd
   echo "==== [load] same-seed runs produced identical per-node counts" >&2
 }
 
-# The chaos leg: a real daemon must survive seeded fault schedules from
-# both injection paths — in-process (the workload spec's chaos block) and
-# wire-level (rtp_chaos_proxy) — with every fault either transparently
-# retried or surfaced as a structured error, and identical per-node
-# fault-injection counts across same-seed runs.
+# The chaos leg: a real daemon must survive the seeded fault schedule of
+# examples/workloads/chaos.json, injected by serve::Client, with every
+# fault either transparently retried or surfaced as a structured error,
+# and identical per-node fault-injection counts across same-seed runs.
 run_chaos() {
   local build_dir="${prefix}-plain"
   echo "==== [chaos] configure + build (plain)" >&2
   cmake -B "$build_dir" -S "$source_dir" -DRTP_SANITIZE="" > /dev/null
-  cmake --build "$build_dir" -j "$jobs" --target \
-    rtpd rtpd_client rtp_load rtp_chaos_proxy
-  local workdir sock front
+  cmake --build "$build_dir" -j "$jobs" --target rtpd rtp_load rtp_cli
+  local workdir sock
   workdir="$(mktemp -d)"
+  work_dirs+=("$workdir")
   sock="$workdir/rtpd.sock"
-  front="$workdir/chaos.sock"
-  echo "==== [chaos] starting rtpd on $sock" >&2
-  "$build_dir/tools/rtpd" --socket="$sock" --jobs=4 \
-    --idle-timeout-ms=30000 &
-  local rtpd_pid=$!
-  # shellcheck disable=SC2064  # expand now: kill what we started
-  trap "kill $rtpd_pid 2>/dev/null; wait $rtpd_pid 2>/dev/null; rm -rf '$workdir'" RETURN
-  local i
-  for i in $(seq 1 50); do
-    [ -S "$sock" ] && break
-    sleep 0.1
-  done
-  [ -S "$sock" ] || { echo "rtpd did not come up" >&2; return 1; }
+  start_rtpd "$build_dir" "$sock" --jobs=4 --idle-timeout-ms=30000
 
   local run
   for run in 1 2; do
-    echo "==== [chaos] in-process injection run $run (chaos.json, seed 42)" >&2
+    echo "==== [chaos] chaos.json run $run (seed 42)" >&2
     "$build_dir/tools/rtp_load" \
       --spec="$source_dir/examples/workloads/chaos.json" \
       --socket="$sock" --threads=4 --seed=42 --allow-errors \
@@ -278,27 +283,9 @@ run_chaos() {
   grep -q '\.fault\.' "$workdir/counts1.txt" || {
     echo "chaos.json run injected no faults" >&2; return 1; }
 
-  echo "==== [chaos] wire-level injection through rtp_chaos_proxy" >&2
-  "$build_dir/tools/rtp_chaos_proxy" --listen="$front" --upstream="$sock" \
-    --seed=7 --read-stall=200 --torn-write=300 --corrupt-byte=150 \
-    --premature-close=150 --response-delay=200 --stall-ms=5 --delay-ms=5 &
-  local proxy_pid=$!
-  for i in $(seq 1 50); do
-    [ -S "$front" ] && break
-    sleep 0.1
-  done
-  [ -S "$front" ] || { echo "proxy did not come up" >&2; return 1; }
-  "$build_dir/tools/rtp_load" \
-    --spec="$source_dir/examples/workloads/smoke.json" \
-    --socket="$front" --threads=4 --seed=42 --allow-errors --quiet
-  kill "$proxy_pid" 2>/dev/null
-  wait "$proxy_pid"
-
-  echo "==== [chaos] daemon still answers after both schedules" >&2
-  "$build_dir/tools/rtpd_client" --socket="$sock" load chaosci exam \
-    "$source_dir/examples/data/exam.xml"
-  "$build_dir/tools/rtpd_client" --socket="$sock" shutdown
-  wait "$rtpd_pid"
+  echo "==== [chaos] daemon still answers as serial rtp_cli does" >&2
+  served_equals_serial "$build_dir" "$sock" "$workdir"
+  stop_rtpd
 
   local tsan_dir="${prefix}-tsan"
   echo "==== [chaos] configure + build (tsan)" >&2
@@ -327,7 +314,6 @@ case "$leg" in
   obs-off)    run_leg obs-off    ""                  "" "-DRTP_OBS_DISABLED=ON" ;;
   perf)       run_perf ;;
   fuzz)       run_fuzz ;;
-  failpoints) run_failpoints ;;
   serve)      run_serve ;;
   load)       run_load ;;
   chaos)      run_chaos ;;
@@ -343,7 +329,6 @@ case "$leg" in
     run_chaos
     run_perf
     run_fuzz
-    run_failpoints
     ;;
 esac
 
