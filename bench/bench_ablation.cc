@@ -138,10 +138,11 @@ void BM_AblationEarlyStop(benchmark::State& state) {
   params.consistent_ranks = false;  // violations likely
   xml::Document doc = workload::GenerateExamDocument(&alphabet, params);
   fd::FunctionalDependency fd1 = MustFd(workload::PaperFd1(&alphabet));
+  fd::CheckOptions options;
+  options.stop_at_first_violation = stop_early;
   size_t mappings = 0;
   for (auto _ : state) {
-    fd::CheckResult result =
-        fd::CheckFd(fd1, doc, fd::CheckOptions{stop_early});
+    fd::CheckResult result = fd::CheckFd(fd1, doc, options);
     mappings = result.num_mappings;
     benchmark::DoNotOptimize(result);
   }

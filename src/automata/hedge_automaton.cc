@@ -1,8 +1,6 @@
 #include "automata/hedge_automaton.h"
 
 #include <algorithm>
-#include <deque>
-#include <set>
 
 #include "guard/guard.h"
 #include "obs/metrics.h"
@@ -139,126 +137,198 @@ bool HedgeAutomaton::Accepts(const Document& doc) const {
   return false;
 }
 
-std::optional<std::vector<StateId>> HedgeAutomaton::AcceptedWordOver(
-    const regex::Dfa& dfa, const std::vector<bool>& inhabited) {
-  // BFS over DFA states; edges labeled by inhabited state symbols.
-  struct Step {
-    int32_t prev;
-    StateId symbol;
-  };
-  std::vector<Step> steps(dfa.NumStates(), Step{-1, -1});
-  std::vector<bool> seen(dfa.NumStates(), false);
-  std::deque<int32_t> work = {dfa.initial()};
-  seen[dfa.initial()] = true;
-  int32_t found = -1;
-  while (!work.empty()) {
-    if (!guard::KeepGoing()) return std::nullopt;
-    int32_t h = work.front();
-    work.pop_front();
-    if (dfa.accepting(h)) {
-      found = h;
-      break;
-    }
-    for (size_t q = 0; q < inhabited.size(); ++q) {
-      if (!inhabited[q]) continue;
-      int32_t nh = dfa.Next(h, static_cast<LabelId>(q));
-      if (nh == regex::kDeadState || seen[nh]) continue;
-      seen[nh] = true;
-      steps[nh] = Step{h, static_cast<StateId>(q)};
-      work.push_back(nh);
-    }
-  }
-  if (found == -1) return std::nullopt;
-  std::vector<StateId> word;
-  for (int32_t h = found; h != dfa.initial(); h = steps[h].prev) {
-    word.push_back(steps[h].symbol);
-  }
-  std::reverse(word.begin(), word.end());
-  return word;
-}
+namespace {
 
-std::vector<std::optional<HedgeAutomaton::Recipe>> HedgeAutomaton::Saturate()
-    const {
+// Slot marks of Saturate(): a pair not reached yet, and the initial state.
+constexpr int32_t kUnreached = -2;
+constexpr int32_t kSeed = -1;
+
+// Examined edges between two guard polls.
+constexpr size_t kPollBatch = 256;
+
+}  // namespace
+
+HedgeAutomaton::Saturation HedgeAutomaton::Saturate() const {
   RTP_OBS_SCOPED_TIMER("automata.emptiness.saturate_ns");
-  std::vector<std::optional<Recipe>> recipes(NumStates());
-  std::vector<bool> inhabited(NumStates(), false);
-  size_t iterations = 0;
-  size_t num_inhabited = 0;
-  bool changed = true;
-  while (changed && guard::Ok()) {
-    changed = false;
-    ++iterations;
-    for (size_t i = 0; i < transitions_.size(); ++i) {
-      if (!guard::KeepGoing()) break;
-      const Transition& t = transitions_[i];
-      if (inhabited[t.target]) continue;
-      auto word = AcceptedWordOver(t.horizontal, inhabited);
-      if (!word.has_value()) continue;
-      inhabited[t.target] = true;
-      ++num_inhabited;
-      recipes[t.target] =
-          Recipe{static_cast<int32_t>(i), std::move(*word)};
-      changed = true;
-    }
+  const StateId num_states = NumStates();
+  const int32_t num_transitions = static_cast<int32_t>(transitions_.size());
+
+  // A root transition admits "/" and targets a root-accepting state: once
+  // its horizontal DFA accepts, the language is non-empty.
+  std::vector<bool> root_accepting(num_states, false);
+  for (StateId q : root_accepting_) root_accepting[q] = true;
+  std::vector<bool> root_transition(num_transitions, false);
+  for (int32_t i = 0; i < num_transitions; ++i) {
+    const Transition& t = transitions_[i];
+    root_transition[i] =
+        root_accepting[t.target] && t.guard.Admits(Alphabet::kRootLabel);
   }
-  RTP_OBS_COUNT_N("automata.emptiness.fixpoint_iterations", iterations);
-  RTP_OBS_COUNT_N("automata.emptiness.states_inhabited", num_inhabited);
+
+  // One slot per (transition i, horizontal state h), at slot_base[i] + h.
+  // A reached slot records the state it was reached from (kSeed for the
+  // initial state) and the inhabited state read on that edge, so a word
+  // can be read back along the predecessors.
+  struct Slot {
+    int32_t from = kUnreached;
+    StateId symbol = -1;
+  };
+  std::vector<size_t> slot_base(num_transitions + 1, 0);
+  for (int32_t i = 0; i < num_transitions; ++i) {
+    slot_base[i + 1] = slot_base[i] + transitions_[i].horizontal.NumStates();
+  }
+  std::vector<Slot> slots(slot_base[num_transitions]);
+
+  // Explicit edges waiting for their symbol to be inhabited, chained per
+  // symbol; and reached states whose `otherwise` edge waits for an
+  // inhabited state outside their explicit keys.
+  struct WaitingEdge {
+    int32_t transition, from, to, next;
+  };
+  std::vector<WaitingEdge> waiting;
+  std::vector<int32_t> waiting_head(num_states, -1);
+  struct PendingOtherwise {
+    int32_t transition, from;
+  };
+  std::vector<PendingOtherwise> pending;
+
+  Saturation out;
+  out.recipes.resize(num_states);
+  std::vector<StateId> inhabited;  // in the order proved
+  std::vector<std::pair<int32_t, int32_t>> queue;  // reached (i, h), FIFO
+  size_t edges_fired = 0;
+  size_t examined = 0;
+  auto poll = [&examined] {
+    return ++examined % kPollBatch != 0 || guard::KeepGoing();
+  };
+  // Only a root transition, or one whose target is not inhabited yet, can
+  // still prove something.
+  auto useful = [&](int32_t i) {
+    return root_transition[i] ||
+           !out.recipes[transitions_[i].target].has_value();
+  };
+  auto fire = [&](int32_t i, int32_t from, int32_t to, StateId symbol) {
+    ++edges_fired;
+    Slot& slot = slots[slot_base[i] + to];
+    if (slot.from != kUnreached) return;
+    slot = Slot{from, symbol};
+    queue.emplace_back(i, to);
+  };
+  auto word_to = [&](int32_t i, int32_t h) {
+    std::vector<StateId> word;
+    for (const Slot* s = &slots[slot_base[i] + h]; s->from != kSeed;
+         s = &slots[slot_base[i] + s->from]) {
+      word.push_back(s->symbol);
+    }
+    std::reverse(word.begin(), word.end());
+    return word;
+  };
+  // Records q's recipe and fires every edge that was waiting for q.
+  auto inhabit = [&](StateId q, int32_t i, int32_t h) {
+    out.recipes[q] = Recipe{i, word_to(i, h)};
+    inhabited.push_back(q);
+    for (int32_t e = waiting_head[q]; e != -1; e = waiting[e].next) {
+      if (!poll()) return;
+      const WaitingEdge& edge = waiting[e];
+      if (useful(edge.transition)) fire(edge.transition, edge.from, edge.to, q);
+    }
+    waiting_head[q] = -1;
+    for (size_t k = 0; k < pending.size();) {
+      if (!poll()) return;
+      const PendingOtherwise p = pending[k];
+      const regex::Dfa::State& st =
+          transitions_[p.transition].horizontal.state(p.from);
+      if (st.next.count(static_cast<LabelId>(q)) != 0) {
+        ++k;
+        continue;
+      }
+      if (useful(p.transition)) fire(p.transition, p.from, st.otherwise, q);
+      pending[k] = pending.back();
+      pending.pop_back();
+    }
+  };
+
+  for (int32_t i = 0; i < num_transitions; ++i) {
+    const regex::Dfa& dfa = transitions_[i].horizontal;
+    if (dfa.NumStates() == 0) continue;
+    slots[slot_base[i] + dfa.initial()] = Slot{kSeed, -1};
+    queue.emplace_back(i, dfa.initial());
+  }
+  for (size_t head = 0; head < queue.size(); ++head) {
+    if (!guard::KeepGoing()) break;
+    const auto [i, h] = queue[head];
+    if (!useful(i)) continue;
+    const Transition& t = transitions_[i];
+    const regex::Dfa::State& st = t.horizontal.state(h);
+    if (st.accepting) {
+      if (root_transition[i]) {
+        out.root_word = word_to(i, h);
+        break;
+      }
+      inhabit(t.target, i, h);
+      continue;  // the target is inhabited: nothing left to prove
+    }
+    bool tripped = false;
+    for (const auto& [label, to] : st.next) {
+      if (!poll()) {
+        tripped = true;
+        break;
+      }
+      StateId q = static_cast<StateId>(label);
+      if (to == regex::kDeadState || q < 0 || q >= num_states) continue;
+      if (slots[slot_base[i] + to].from != kUnreached) continue;
+      if (out.recipes[q].has_value()) {
+        fire(i, h, to, q);
+      } else {
+        waiting.push_back(WaitingEdge{i, h, to, waiting_head[q]});
+        waiting_head[q] = static_cast<int32_t>(waiting.size()) - 1;
+      }
+    }
+    if (tripped) break;
+    if (st.otherwise == regex::kDeadState ||
+        slots[slot_base[i] + st.otherwise].from != kUnreached) {
+      continue;
+    }
+    // Among any keys+1 inhabited states one is not a key of h.
+    bool fired = false;
+    for (size_t k = 0; k < inhabited.size() && k <= st.next.size(); ++k) {
+      StateId q = inhabited[k];
+      if (st.next.count(static_cast<LabelId>(q)) == 0) {
+        fire(i, h, st.otherwise, q);
+        fired = true;
+        break;
+      }
+    }
+    if (!fired) pending.push_back(PendingOtherwise{i, h});
+  }
+  RTP_OBS_COUNT_N("automata.emptiness.edges_fired", edges_fired);
+  RTP_OBS_COUNT_N("automata.emptiness.states_inhabited", inhabited.size());
   RTP_OBS_COUNT_N("automata.emptiness.states_pruned",
-                  static_cast<size_t>(NumStates()) - num_inhabited);
-  return recipes;
+                  static_cast<size_t>(num_states) - inhabited.size());
+  return out;
 }
 
 bool HedgeAutomaton::IsEmptyLanguage() const {
   RTP_OBS_COUNT("automata.emptiness.checks");
   RTP_OBS_SCOPED_TIMER("automata.emptiness.ns");
   RTP_OBS_TRACE_SPAN("automata.IsEmptyLanguage");
-  auto recipes = Saturate();
-  std::vector<bool> inhabited(NumStates(), false);
-  for (StateId q = 0; q < NumStates(); ++q) {
-    inhabited[q] = recipes[q].has_value();
-  }
-  for (const Transition& t : transitions_) {
-    if (!t.guard.Admits(Alphabet::kRootLabel)) continue;
-    bool is_accepting_target =
-        std::find(root_accepting_.begin(), root_accepting_.end(), t.target) !=
-        root_accepting_.end();
-    if (!is_accepting_target) continue;
-    if (AcceptedWordOver(t.horizontal, inhabited).has_value()) return false;
-  }
-  return true;
+  Saturation saturation = Saturate();
+  if (!guard::Ok()) return false;
+  return !saturation.root_word.has_value();
 }
 
 StatusOr<Document> HedgeAutomaton::FindWitnessDocument(
     Alphabet* alphabet) const {
-  auto recipes = Saturate();
-  std::vector<bool> inhabited(NumStates(), false);
-  for (StateId q = 0; q < NumStates(); ++q) {
-    inhabited[q] = recipes[q].has_value();
-  }
-
-  // Find a root transition.
-  const Transition* root_transition = nullptr;
-  std::vector<StateId> root_word;
-  for (const Transition& t : transitions_) {
-    if (!t.guard.Admits(Alphabet::kRootLabel)) continue;
-    if (std::find(root_accepting_.begin(), root_accepting_.end(), t.target) ==
-        root_accepting_.end()) {
-      continue;
-    }
-    auto word = AcceptedWordOver(t.horizontal, inhabited);
-    if (word.has_value()) {
-      root_transition = &t;
-      root_word = std::move(*word);
-      break;
-    }
-  }
-  if (root_transition == nullptr) {
+  Saturation saturation = Saturate();
+  if (!saturation.root_word.has_value()) {
+    RTP_RETURN_IF_ERROR(guard::CurrentStatus());
     return NotFoundError("the automaton's language is empty");
   }
+  const std::vector<std::optional<Recipe>>& recipes = saturation.recipes;
+  const std::vector<StateId>& root_word = *saturation.root_word;
 
   Document doc(alphabet);
   // Recursively materialize each state of the word under `parent`.
-  // (Recursion depth is bounded by the saturation order: recipes only
+  // (Recursion depth is bounded by the fixpoint order: recipes only
   // reference states inhabited strictly earlier.)
   struct Builder {
     const HedgeAutomaton& automaton;

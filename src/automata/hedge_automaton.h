@@ -85,7 +85,9 @@ class HedgeAutomaton {
 
   bool Accepts(const xml::Document& doc) const;
 
-  // Emptiness of the recognized document language.
+  // Emptiness of the recognized document language. Under a tripped guard
+  // the answer is false ("not proved empty") and meaningless; callers
+  // consult guard::CurrentStatus().
   bool IsEmptyLanguage() const;
 
   // A smallest-effort witness document (not necessarily minimal), or
@@ -102,13 +104,21 @@ class HedgeAutomaton {
     std::vector<StateId> child_word;
   };
 
-  // Shared saturation engine: returns per-state inhabitation recipes.
-  std::vector<std::optional<Recipe>> Saturate() const;
+  // What the inhabitation fixpoint had proved when it stopped.
+  struct Saturation {
+    // Per state: a transition and a child word over states inhabited
+    // earlier; nullopt for states not proved inhabited.
+    std::vector<std::optional<Recipe>> recipes;
+    // The children of the root under the first root transition found to
+    // accept; nullopt when the language is empty or the guard tripped.
+    std::optional<std::vector<StateId>> root_word;
+  };
 
-  // Finds a word over `inhabited` states accepted by `dfa` (shortest by
-  // BFS); nullopt if none.
-  static std::optional<std::vector<StateId>> AcceptedWordOver(
-      const regex::Dfa& dfa, const std::vector<bool>& inhabited);
+  // Worklist least fixpoint over (transition, horizontal state) pairs,
+  // shared by IsEmptyLanguage and FindWitnessDocument. Each horizontal
+  // edge is examined once; it stops at the first accepting root
+  // transition.
+  Saturation Saturate() const;
 
   std::vector<bool> marks_;
   std::vector<Transition> transitions_;

@@ -379,4 +379,54 @@ update::UpdateClass GenerateUpdateClassInstance(
   return std::move(cls).value();
 }
 
+automata::HedgeAutomaton GenerateHedgeAutomatonInstance(Alphabet* alphabet,
+                                                        Rng* rng) {
+  using automata::Guard;
+  using automata::StateId;
+  constexpr uint32_t kNumLabels = 3;
+  automata::HedgeAutomaton automaton;
+  auto num_states = static_cast<StateId>(1 + rng->Below(5));
+  for (StateId q = 0; q < num_states; ++q) automaton.AddState(rng->Percent(50));
+  uint64_t num_transitions = 1 + rng->Below(8);
+  for (uint64_t i = 0; i < num_transitions; ++i) {
+    Guard guard;
+    if (rng->Percent(60)) {
+      guard = Guard::Label(alphabet->Intern(PoolLabel(rng, kNumLabels)));
+    } else {
+      std::vector<LabelId> excluded;
+      for (uint32_t l = 0; l < kNumLabels; ++l) {
+        if (rng->Percent(30)) {
+          excluded.push_back(alphabet->Intern("l" + std::to_string(l)));
+        }
+      }
+      guard = Guard::AnyExcept(std::move(excluded));
+    }
+    auto num_h = static_cast<int32_t>(1 + rng->Below(3));
+    std::vector<regex::Dfa::State> states(num_h);
+    for (regex::Dfa::State& state : states) {
+      state.accepting = rng->Percent(40);
+      for (StateId q = 0; q < num_states; ++q) {
+        if (!rng->Percent(40)) continue;
+        state.next[static_cast<LabelId>(q)] =
+            rng->Percent(15) ? regex::kDeadState
+                             : static_cast<int32_t>(rng->Below(num_h));
+      }
+      if (rng->Percent(50)) {
+        state.otherwise = static_cast<int32_t>(rng->Below(num_h));
+      }
+    }
+    auto target = static_cast<StateId>(rng->Below(num_states));
+    automaton.AddTransition(std::move(guard),
+                            regex::Dfa::FromStates(std::move(states), 0),
+                            target);
+  }
+  for (StateId q = 0; q < num_states; ++q) {
+    if (rng->Percent(40)) automaton.AddRootAccepting(q);
+  }
+  if (automaton.root_accepting().empty()) {
+    automaton.AddRootAccepting(static_cast<StateId>(rng->Below(num_states)));
+  }
+  return automaton;
+}
+
 }  // namespace rtp::fuzz

@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 
+#include "automata/hedge_automaton.h"
 #include "common/alphabet.h"
 #include "common/rng.h"
 #include "fd/functional_dependency.h"
@@ -89,6 +90,15 @@ update::UpdateClass GenerateUpdateClassInstance(
 // A random pattern over the same "l<k>" label pool (>= 1 selected node).
 pattern::TreePattern GeneratePatternInstance(Alphabet* alphabet, Rng* rng,
                                              const InstanceGenParams& params);
+
+// A random hedge automaton for the emptiness oracle: 1-5 states, 1-8
+// transitions, horizontal DFAs of 1-3 states. Guards are the labels
+// "l0".."l2" or AnyExcept over a subset of them (only the latter admit the
+// root). Each horizontal DFA state has explicit edges on some states, a
+// few of them to the dead state, and half the time a live `otherwise`
+// edge — the branch criterion products never exercise.
+automata::HedgeAutomaton GenerateHedgeAutomatonInstance(Alphabet* alphabet,
+                                                        Rng* rng);
 
 }  // namespace rtp::fuzz
 

@@ -3,6 +3,9 @@
 #include <set>
 #include <string>
 
+#include "automata/pattern_compiler.h"
+#include "automata/product.h"
+#include "automata/reference_emptiness.h"
 #include "common/rng.h"
 #include "fd/fd_checker.h"
 #include "fd/reference_checker.h"
@@ -13,6 +16,7 @@
 #include "pattern/pattern_writer.h"
 #include "pattern/reference_evaluator.h"
 #include "workload/random_pattern.h"
+#include "xml/xml_io.h"
 
 namespace rtp::fuzz {
 
@@ -56,6 +60,39 @@ std::string FdCheckFingerprint(const fd::CheckResult& r) {
     out += "|";
     for (xml::NodeId n : r.violation->second.image) {
       out += "," + std::to_string(n);
+    }
+  }
+  return out;
+}
+
+// The whole automaton when it is small, its sizes otherwise.
+std::string DescribeAutomaton(const automata::HedgeAutomaton& automaton) {
+  std::string out = std::to_string(automaton.NumStates()) + " states, " +
+                    std::to_string(automaton.transitions().size()) +
+                    " transitions, root-accepting {";
+  for (automata::StateId q : automaton.root_accepting()) {
+    out += " " + std::to_string(q);
+  }
+  out += " }";
+  if (automaton.NumStates() > 16) return out;
+  for (const automata::HedgeAutomaton::Transition& t :
+       automaton.transitions()) {
+    out += "\n  -> " + std::to_string(t.target) + " guard ";
+    if (t.guard.kind == automata::Guard::Kind::kLabel) {
+      out += "label " + std::to_string(t.guard.label);
+    } else {
+      out += "any except {";
+      for (LabelId l : t.guard.excluded) out += " " + std::to_string(l);
+      out += " }";
+    }
+    out += ", horizontal initial " + std::to_string(t.horizontal.initial());
+    for (int32_t h = 0; h < t.horizontal.NumStates(); ++h) {
+      const regex::Dfa::State& state = t.horizontal.state(h);
+      out += "; " + std::to_string(h) + (state.accepting ? "*" : "") + ":";
+      for (const auto& [label, next] : state.next) {
+        out += " " + std::to_string(label) + ">" + std::to_string(next);
+      }
+      out += " else>" + std::to_string(state.otherwise);
     }
   }
   return out;
@@ -188,6 +225,36 @@ Status CheckCriterionVsBruteForce(const fd::FunctionalDependency& fd,
   return Status::OK();
 }
 
+Status CheckEmptinessVsReference(const automata::HedgeAutomaton& automaton,
+                                 Alphabet* alphabet) {
+  bool empty = automaton.IsEmptyLanguage();
+  bool reference = automata::ReferenceIsEmptyLanguage(automaton);
+  // Either side may have stopped on a trip: surface it, never a mismatch.
+  RTP_RETURN_IF_ERROR(guard::CurrentStatus());
+  if (empty != reference) {
+    return InternalError(std::string("worklist emptiness says ") +
+                         (empty ? "empty" : "non-empty") +
+                         " but the round-based reference says the "
+                         "opposite; automaton: " +
+                         DescribeAutomaton(automaton));
+  }
+  if (empty) return Status::OK();
+  StatusOr<xml::Document> witness = automaton.FindWitnessDocument(alphabet);
+  RTP_RETURN_IF_ERROR(guard::CurrentStatus());
+  if (!witness.ok()) {
+    return InternalError("non-empty language but FindWitnessDocument failed (" +
+                         witness.status().ToString() + "); automaton: " +
+                         DescribeAutomaton(automaton));
+  }
+  if (!automaton.Accepts(*witness)) {
+    RTP_RETURN_IF_ERROR(guard::CurrentStatus());
+    return InternalError("the automaton rejects its own witness " +
+                         xml::WriteXml(*witness, /*indent=*/false) +
+                         "; automaton: " + DescribeAutomaton(automaton));
+  }
+  return Status::OK();
+}
+
 Status RunOracleBattery(uint64_t seed, const OracleOptions& options) {
   Alphabet alphabet;
   Rng rng(seed);
@@ -239,6 +306,20 @@ Status RunOracleBattery(uint64_t seed, const OracleOptions& options) {
   small_docs.labels.push_back("#text");
   RTP_RETURN_IF_ERROR(annotate(CheckCriterionVsBruteForce(
       fd, update, /*schema=*/nullptr, &alphabet, small_docs)));
+
+  // The criterion automaton of the same pair, built as CheckIndependence
+  // builds it without a schema; its horizontal DFAs have explicit edges
+  // only, so a random automaton covers the `otherwise` branch.
+  automata::HedgeAutomaton meet = automata::MeetProduct(
+      automata::CompilePattern(fd.pattern(),
+                               automata::MarkMode::kTraceAndSelectedSubtrees),
+      automata::CompilePattern(update.pattern(),
+                               automata::MarkMode::kSelectedImagesOnly));
+  RTP_RETURN_IF_ERROR(annotate(CheckEmptinessVsReference(
+      automata::Intersect(meet, automata::HedgeAutomaton::Universal()),
+      &alphabet)));
+  RTP_RETURN_IF_ERROR(annotate(CheckEmptinessVsReference(
+      GenerateHedgeAutomatonInstance(&alphabet, &rng), &alphabet)));
 
   return Status::OK();
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "automata/hedge_automaton.h"
 #include "common/status.h"
 #include "fd/functional_dependency.h"
 #include "fuzz/small_docs.h"
@@ -54,6 +55,13 @@ Status CheckCriterionVsBruteForce(const fd::FunctionalDependency& fd,
                                   Alphabet* alphabet,
                                   const SmallDocParams& small_docs);
 
+// Worklist emptiness (HedgeAutomaton::IsEmptyLanguage) vs the round-based
+// automata::ReferenceIsEmptyLanguage: the verdicts must be equal, and on a
+// non-empty language FindWitnessDocument must succeed with a document the
+// automaton accepts.
+Status CheckEmptinessVsReference(const automata::HedgeAutomaton& automaton,
+                                 Alphabet* alphabet);
+
 struct OracleOptions {
   int jobs = 8;             // parallel leg compared against serial
   uint32_t num_documents = 4;
@@ -61,10 +69,11 @@ struct OracleOptions {
   uint32_t small_doc_max_nodes = 4;
 };
 
-// Generates a pattern, an FD, an update class and a set of random
-// documents from `seed` and runs every oracle above. One seed = one fully
-// reproducible battery; this is the body of the fuzz_differential harness
-// and of the ctest battery.
+// Generates a pattern, an FD, an update class, a random hedge automaton
+// and a set of random documents from `seed` and runs every oracle above
+// (emptiness on the pair's criterion automaton and on the random one).
+// One seed = one fully reproducible battery; this is the body of the
+// fuzz_differential harness and of the ctest battery.
 Status RunOracleBattery(uint64_t seed, const OracleOptions& options = {});
 
 }  // namespace rtp::fuzz

@@ -268,7 +268,7 @@ StatusOr<Schema> Schema::Create(
       Guard::Label(Alphabet::kRootLabel),
       automata::InterleavedHorizontal({root_states}, {}), doc_state);
   schema.automaton_.AddRootAccepting(doc_state);
-  return std::move(schema);
+  return schema;
 }
 
 automata::StateId Schema::ElementState(std::string_view label) const {

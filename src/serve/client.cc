@@ -251,6 +251,16 @@ StatusOr<JsonValue> Client::CallOnce(const Request& req,
   }
   JsonValue response = std::move(response_or).value();
   if (response.FindInt("id") != req.id) {
+    // rtpd answers a line over its limit, before decoding it, with an
+    // id-0 RESOURCE_EXHAUSTED envelope and keeps reading: that answers
+    // this request, and the stream is still in step. Its other id-0
+    // errors (unparseable JSON, no id) can only mean the bytes of a
+    // request this client encoded were damaged in transit.
+    Status rejected = ResponseStatus(response);
+    if (response.FindInt("id") == 0 &&
+        rejected.code() == StatusCode::kResourceExhausted) {
+      return rejected;
+    }
     CloseBroken();
     return TransportError("response id mismatch (sent " +
                           std::to_string(req.id) + ", got '" + *line_or +

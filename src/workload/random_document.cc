@@ -71,7 +71,7 @@ class Generator {
     const std::string& root =
         roots[std::uniform_int_distribution<size_t>(0, roots.size() - 1)(rng_)];
     RTP_RETURN_IF_ERROR(EmitElement(&doc, doc.root(), root, 1));
-    return std::move(doc);
+    return doc;
   }
 
  private:

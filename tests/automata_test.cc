@@ -4,10 +4,12 @@
 
 #include "automata/pattern_compiler.h"
 #include "automata/product.h"
+#include "automata/reference_emptiness.h"
 #include "pattern/evaluator.h"
 #include "pattern/pattern_parser.h"
 #include "workload/exam_generator.h"
 #include "workload/paper_patterns.h"
+#include "xml/xml_io.h"
 
 namespace rtp::automata {
 namespace {
@@ -348,6 +350,122 @@ TEST(ProductTest, MeetProductCoveredSubtreeMarks) {
       CompilePattern(fd_like.pattern, MarkMode::kSelectedImagesOnly);
   HedgeAutomaton meet2 = MeetProduct(fd_images_only, u_automaton);
   EXPECT_FALSE(meet2.Accepts(doc));
+}
+
+// Emptiness edge cases, each checked against the round-based reference.
+
+regex::Dfa::State HState(bool accepting, std::map<LabelId, int32_t> next = {},
+                         int32_t otherwise = regex::kDeadState) {
+  regex::Dfa::State state;
+  state.accepting = accepting;
+  state.next = std::move(next);
+  state.otherwise = otherwise;
+  return state;
+}
+
+regex::Dfa Horizontal(std::vector<regex::Dfa::State> states) {
+  return regex::Dfa::FromStates(std::move(states), 0);
+}
+
+// Verdict of both emptiness tests; on a non-empty language, also the
+// witness, which the automaton must accept.
+std::string CheckedWitness(const HedgeAutomaton& automaton, bool want_empty,
+                           Alphabet* alphabet) {
+  EXPECT_EQ(automaton.IsEmptyLanguage(), want_empty);
+  EXPECT_EQ(ReferenceIsEmptyLanguage(automaton), want_empty);
+  auto witness = automaton.FindWitnessDocument(alphabet);
+  EXPECT_EQ(witness.ok(), !want_empty) << witness.status().ToString();
+  if (!witness.ok()) return "";
+  EXPECT_TRUE(automaton.Accepts(*witness));
+  return xml::WriteXml(*witness, /*indent=*/false);
+}
+
+TEST(EmptinessTest, OtherwiseEdgeWaitsForAStateOutsideItsKeys) {
+  Alphabet alphabet;
+  LabelId a = alphabet.Intern("a");
+  LabelId b = alphabet.Intern("b");
+  auto build = [&](bool with_b) {
+    HedgeAutomaton automaton;
+    StateId qa = automaton.AddState();  // <a/>
+    StateId qb = automaton.AddState();  // <b><a/></b>
+    StateId root = automaton.AddState();
+    automaton.AddTransition(Guard::Label(a), Horizontal({HState(true)}), qa);
+    if (with_b) {
+      automaton.AddTransition(
+          Guard::Label(b), Horizontal({HState(false, {{qa, 1}}), HState(true)}),
+          qb);
+    }
+    // The root reads one child in any state but qa, whose key leads to the
+    // dead state. When the root's initial state is reached, qa is the only
+    // inhabited state, so the `otherwise` edge must wait for qb.
+    automaton.AddTransition(
+        Guard::Any(),
+        Horizontal({HState(false, {{qa, regex::kDeadState}}, 1), HState(true)}),
+        root);
+    automaton.AddRootAccepting(root);
+    return automaton;
+  };
+  EXPECT_EQ(CheckedWitness(build(/*with_b=*/false), true, &alphabet), "");
+  EXPECT_EQ(CheckedWitness(build(/*with_b=*/true), false, &alphabet),
+            "<b><a/></b>");
+}
+
+TEST(EmptinessTest, LeafTransitionWithAcceptingInitialState) {
+  Alphabet alphabet;
+  LabelId a = alphabet.Intern("a");
+  HedgeAutomaton automaton;
+  StateId leaf = automaton.AddState();
+  StateId root = automaton.AddState();
+  // The root transition comes first: its edge on `leaf` is examined before
+  // `leaf` is inhabited and must wait for it.
+  automaton.AddTransition(
+      Guard::Any(), Horizontal({HState(false, {{leaf, 1}}), HState(true)}),
+      root);
+  automaton.AddTransition(Guard::Label(a), Horizontal({HState(true)}), leaf);
+  automaton.AddRootAccepting(root);
+  EXPECT_EQ(CheckedWitness(automaton, false, &alphabet), "<a/>");
+}
+
+TEST(EmptinessTest, RootGuardedTransitionNeedsARootAcceptingTarget) {
+  Alphabet alphabet;
+  LabelId a = alphabet.Intern("a");
+  HedgeAutomaton automaton;
+  StateId top = automaton.AddState();
+  StateId other = automaton.AddState();
+  // Admits "/" and accepts the empty word, but `top` is not root-accepting.
+  automaton.AddTransition(Guard::Label(Alphabet::kRootLabel),
+                          Horizontal({HState(true)}), top);
+  // Root-accepting, but its guard does not admit "/".
+  automaton.AddTransition(Guard::Label(a), Horizontal({HState(true)}), other);
+  automaton.AddRootAccepting(other);
+  CheckedWitness(automaton, true, &alphabet);
+}
+
+TEST(EmptinessTest, MutuallyDependentStatesStayEmpty) {
+  Alphabet alphabet;
+  LabelId a = alphabet.Intern("a");
+  LabelId b = alphabet.Intern("b");
+  LabelId c = alphabet.Intern("c");
+  HedgeAutomaton automaton;
+  StateId qa = automaton.AddState();
+  StateId qb = automaton.AddState();
+  StateId root = automaton.AddState();
+  // qa needs a qb child and qb needs a qa child: neither is ever inhabited.
+  automaton.AddTransition(
+      Guard::Label(a), Horizontal({HState(false, {{qb, 1}}), HState(true)}),
+      qa);
+  automaton.AddTransition(
+      Guard::Label(b), Horizontal({HState(false, {{qa, 1}}), HState(true)}),
+      qb);
+  automaton.AddTransition(
+      Guard::Any(), Horizontal({HState(false, {{qa, 1}}), HState(true)}),
+      root);
+  automaton.AddRootAccepting(root);
+  CheckedWitness(automaton, true, &alphabet);
+
+  // A leaf for qb breaks the cycle.
+  automaton.AddTransition(Guard::Label(c), Horizontal({HState(true)}), qb);
+  EXPECT_EQ(CheckedWitness(automaton, false, &alphabet), "<a><c/></a>");
 }
 
 }  // namespace

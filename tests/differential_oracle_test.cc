@@ -143,6 +143,20 @@ TEST_P(OracleTest, CriterionMatchesBruteForceEnumeration) {
   }
 }
 
+// Worklist emptiness vs the round-based reference on random hedge
+// automata, the only instances with live `otherwise` edges. They are tiny,
+// so each seed checks a few hundred.
+TEST_P(OracleTest, EmptinessMatchesReferenceOnRandomAutomata) {
+  Alphabet alphabet;
+  Rng rng(GetParam() + 400);
+  for (int i = 0; i < 300; ++i) {
+    automata::HedgeAutomaton automaton =
+        fuzz::GenerateHedgeAutomatonInstance(&alphabet, &rng);
+    Status status = fuzz::CheckEmptinessVsReference(automaton, &alphabet);
+    ASSERT_TRUE(status.ok()) << "automaton " << i << ": " << status.ToString();
+  }
+}
+
 // The acceptance bar for this battery: the full bundle passes for several
 // distinct seeds, exactly as fuzz/fuzz_differential runs it.
 TEST_P(OracleTest, FullBatteryPasses) {

@@ -227,7 +227,9 @@ TEST_F(FdPaperTest, StopAtFirstViolationVersusFullCount) {
   }
   FunctionalDependency fd1 = MustFd(workload::PaperFd1(&alphabet_));
   CheckResult stop = CheckFd(fd1, doc_);
-  CheckResult full = CheckFd(fd1, doc_, CheckOptions{false});
+  CheckOptions keep_counting;
+  keep_counting.stop_at_first_violation = false;
+  CheckResult full = CheckFd(fd1, doc_, keep_counting);
   EXPECT_FALSE(stop.satisfied);
   EXPECT_FALSE(full.satisfied);
   EXPECT_LE(stop.num_mappings, full.num_mappings);

@@ -198,7 +198,7 @@ TEST(ScopedTimerTest, RecordsElapsedIntoHistogram) {
     ScopedTimer timer(h);
     // Burn a little time so elapsed > 0 even at coarse clock resolution.
     volatile uint64_t sink = 0;
-    for (int i = 0; i < 10000; ++i) sink += i;
+    for (int i = 0; i < 10000; ++i) sink = sink + i;
   }
   EXPECT_EQ(h->count(), 1u);
   EXPECT_GT(h->sum(), 0u);
@@ -224,7 +224,7 @@ TEST(ScopedTimerTest, NestedTimersEachRecordTheirOwnSpan) {
     {
       ScopedTimer t_inner(inner);
       volatile uint64_t sink = 0;
-      for (int i = 0; i < 10000; ++i) sink += i;
+      for (int i = 0; i < 10000; ++i) sink = sink + i;
     }
   }
   ASSERT_EQ(outer->count(), 1u);
@@ -459,7 +459,7 @@ TEST(TraceTest, RecordsNestedSpansWithDepth) {
     {
       TraceSpan inner("obstest.inner");
       volatile uint64_t sink = 0;
-      for (int i = 0; i < 1000; ++i) sink += i;
+      for (int i = 0; i < 1000; ++i) sink = sink + i;
     }
   }
   session.Stop();
@@ -492,7 +492,7 @@ TEST(TraceTest, ChromeTracingExportShape) {
   {
     TraceSpan span("obstest.export \"quoted\"");
     volatile uint64_t sink = 0;
-    for (int i = 0; i < 1000; ++i) sink += i;
+    for (int i = 0; i < 1000; ++i) sink = sink + i;
   }
   session.Stop();
 

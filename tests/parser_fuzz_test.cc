@@ -59,7 +59,9 @@ TEST_P(ParserFuzzTest, GeneratedInputsParse) {
     ASSERT_TRUE(pat.ok()) << pattern_text << "\n" << pat.status().ToString();
     EXPECT_TRUE(pat->pattern.Validate().ok()) << pattern_text;
     EXPECT_FALSE(pat->pattern.selected().empty()) << pattern_text;
-    if (i % 2) EXPECT_TRUE(pat->context.has_value()) << pattern_text;
+    if (i % 2) {
+      EXPECT_TRUE(pat->context.has_value()) << pattern_text;
+    }
 
     std::string schema_text = fuzz::GenerateSchemaDslText(&rng, params);
     auto sch = schema::Schema::Parse(&alphabet, schema_text);

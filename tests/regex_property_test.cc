@@ -120,7 +120,9 @@ TEST_P(RegexAlgebraTest, ShortestWordIsAcceptedAndMinimal) {
   EXPECT_GE(word->size(), 1u);  // proper: empty word not accepted
   // No sampled accepted word is shorter.
   for (const auto& w : SampleWords(&alphabet, params.num_labels, seed, 60)) {
-    if (dfa.Accepts(w)) EXPECT_LE(word->size(), w.size());
+    if (dfa.Accepts(w)) {
+      EXPECT_LE(word->size(), w.size());
+    }
   }
 }
 

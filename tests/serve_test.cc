@@ -478,6 +478,29 @@ TEST(ServeTest, OversizedRequestLineIsRejectedAndSkipped) {
   ts.server->Stop();
 }
 
+// The same rejection through Client::Call: the id-0 error envelope is the
+// answer to the over-long request, not a transport fault, so the client
+// returns the server's status and keeps its connection.
+TEST(ServeTest, OversizedLoadSurfacesTheServerError) {
+  ServerOptions options;
+  options.max_line_bytes = 512;
+  TestServer ts = StartTestServer(options);
+  ASSERT_NE(ts.server, nullptr);
+  Client client = ConnectOrDie(ts.socket_path);
+
+  std::string big = "<a>" + std::string(4096, 'x') + "</a>";
+  Status loaded = client.Load("t", "big", big);
+  EXPECT_EQ(loaded.code(), StatusCode::kResourceExhausted)
+      << loaded.ToString();
+  EXPECT_EQ(loaded.message(), "request line exceeds 512 bytes");
+
+  Status small = client.Load("t", "small", "<a>x</a>");
+  EXPECT_TRUE(small.ok()) << small.ToString();
+  EXPECT_EQ(client.reconnects(), 0u);
+
+  ts.server->Stop();
+}
+
 TEST(ServeTest, DropRemovesDocumentAndReportsMisses) {
   TestServer ts = StartTestServer();
   ASSERT_NE(ts.server, nullptr);

@@ -20,13 +20,6 @@ CompiledXPath MustCompile(Alphabet* alphabet, std::string_view query) {
   return std::move(compiled).value();
 }
 
-std::vector<std::string> Labels(const Document& doc,
-                                const std::vector<NodeId>& nodes) {
-  std::vector<std::string> out;
-  for (NodeId n : nodes) out.push_back(doc.label_name(n));
-  return out;
-}
-
 class XPathTest : public ::testing::Test {
  protected:
   XPathTest() : doc_(workload::BuildPaperFigure1Document(&alphabet_)) {}

@@ -17,7 +17,13 @@ end-to-end metric) the table shows both medians and spreads (set 1 is the
 base, set 2 this checkout) and how much worse this checkout's median is.
 The gate fails when a median is worse by more than the metric's bound,
 when either spread exceeds it (setup_s exempt), or when any run gives a
-wrong answer. The worktree is removed on exit, also on failure.
+wrong answer.
+
+After the pairs it makes one --trace 1 run per side and gated workload,
+on seed FIRST_SEED, and prints every per-layer metric of BENCHMARK.json
+as base, head and head/base. That table only explains the first one: it
+adds no failure condition. The worktree is removed on exit, also on
+failure.
 """
 
 import json
@@ -46,23 +52,58 @@ def git(*args):
     return out.stdout.strip()
 
 
-def run(bench, tree, workload, seed):
-    """One run in `tree`: its end-to-end metrics; exits on a wrong answer.
+def bench_run(bench, tree, workload, seed, trace):
+    """One run in `tree`: (its metrics, None), or (None, why it failed).
 
     Unlike steadiness.run_once it keeps the run's stderr, where run.py and
     the benchmark say which build step or which answer went wrong.
     """
     cmd = bench["command"] + ["--workload", workload, "--seed", str(seed),
                               "--seconds", str(bench["run_seconds"]),
-                              "--trace", "0"]
+                              "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE)
     lines = out.stdout.decode().strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
     if out.returncode or not result.get("correct"):
-        sys.exit("perf gate: %s seed %d in %s failed (exit %d, %s of %s ops "
-                 "wrong)" % (workload, seed, tree, out.returncode,
-                             result.get("failed"), result.get("attempted")))
-    return {name: m["value"] for name, m in result["metrics"].items()}
+        return None, "%s seed %d in %s failed (exit %d, %s of %s ops wrong)" % (
+            workload, seed, tree, out.returncode, result.get("failed"),
+            result.get("attempted"))
+    return {name: m["value"] for name, m in result["metrics"].items()}, None
+
+
+def run(bench, tree, workload, seed):
+    """One gated --trace 0 run: its end-to-end metrics; exits on a wrong
+    answer."""
+    metrics, failure = bench_run(bench, tree, workload, seed, 0)
+    if failure:
+        sys.exit("perf gate: " + failure)
+    return metrics
+
+
+def traced_table(bench, trees):
+    """Prints the per-layer metrics of one traced run per side.
+
+    Missing values (a failed run, or a metric off the workload's path,
+    which perfbench reports as 0) print as "-"; nothing here fails the
+    gate.
+    """
+    out = ["| workload | metric | unit | base | head | head/base |",
+           "|---|---|---|---|---|---|"]
+    for workload in [w["name"] for w in bench["workloads"]]:
+        traced = {}
+        for side in ("base", "head"):
+            traced[side], failure = bench_run(bench, trees[side], workload,
+                                              FIRST_SEED, 1)
+            if failure:
+                print("perf gate: traced " + failure, file=sys.stderr)
+        for m in bench["per_layer"]:
+            base, head = [(traced[side] or {}).get(m["name"])
+                          for side in ("base", "head")]
+            cells = ["%.6g" % v if v else "-" for v in (base, head)]
+            ratio = "%.3g" % (head / base) if base and head else "-"
+            out.append("| %s | %s | %s | %s | %s | %s |" % (
+                workload, m["name"], m["unit"], cells[0], cells[1], ratio))
+    print("\n".join(out))
 
 
 def judge(bench, trees, scratch):
@@ -112,7 +153,9 @@ def main():
                         os.path.join(base_tree, "perfbench"))
         shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), base_tree)
         print("perf gate: set 1 = base %s, set 2 = %s" % (base[:12], ROOT))
-        ok = judge(bench, {"base": base_tree, "head": ROOT}, scratch)
+        trees = {"base": base_tree, "head": ROOT}
+        ok = judge(bench, trees, scratch)
+        traced_table(bench, trees)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
         subprocess.run(["git", "worktree", "prune"], cwd=ROOT)
