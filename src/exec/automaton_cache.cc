@@ -34,8 +34,6 @@ AutomatonCache::GetPatternAutomaton(const pattern::TreePattern& pattern,
 
 void AutomatonCache::Clear() {
   automata_.Clear();
-  dfas_.Clear();
-  dense_dfas_.Clear();
   RTP_OBS_GAUGE_SET("exec.cache.entries", 0);
 }
 

@@ -3,8 +3,7 @@
 
 // Thread-safe memoizing cache for compiled automata, shared across the
 // batch paths: the independence matrix compiles each FD / update-class
-// pattern automaton once instead of once per (fd, class) pair, and regex
-// determinizations can be shared the same way.
+// pattern automaton once instead of once per (fd, class) pair.
 //
 // Keying. Entries are keyed by a canonical string:
 //
@@ -44,15 +43,13 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "pattern/tree_pattern.h"
-#include "regex/dense_dfa.h"
-#include "regex/dfa.h"
 
 namespace rtp::exec {
 
 namespace internal {
 
-// String-keyed find-or-build-once map; the generic engine behind both
-// sections of the AutomatonCache.
+// String-keyed find-or-build-once map; the engine behind the
+// AutomatonCache.
 template <typename T>
 class MemoMap {
  public:
@@ -127,34 +124,13 @@ class AutomatonCache {
       const pattern::TreePattern& pattern, const Alphabet& alphabet,
       automata::MarkMode mode);
 
-  // Generic find-or-build sections for callers that already hold a
-  // canonical key (e.g. a regex's serialized AST for a determinized DFA).
-  std::shared_ptr<const automata::HedgeAutomaton> GetAutomaton(
-      const std::string& key,
-      const std::function<automata::HedgeAutomaton()>& build) {
-    return automata_.GetOrBuild(key, build);
-  }
-  std::shared_ptr<const regex::Dfa> GetDfa(
-      const std::string& key, const std::function<regex::Dfa()>& build) {
-    return dfas_.GetOrBuild(key, build);
-  }
-  std::shared_ptr<const regex::DenseDfa> GetDenseDfa(
-      const std::string& key,
-      const std::function<regex::DenseDfa()>& build) {
-    return dense_dfas_.GetOrBuild(key, build);
-  }
-
   // Drops every entry (outstanding shared_ptrs stay valid).
   void Clear();
 
-  size_t size() const {
-    return automata_.size() + dfas_.size() + dense_dfas_.size();
-  }
+  size_t size() const { return automata_.size(); }
 
  private:
   internal::MemoMap<automata::HedgeAutomaton> automata_;
-  internal::MemoMap<regex::Dfa> dfas_;
-  internal::MemoMap<regex::DenseDfa> dense_dfas_;
 };
 
 }  // namespace rtp::exec

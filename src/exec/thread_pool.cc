@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <memory>
 
 #include "common/check.h"
@@ -9,28 +10,17 @@
 #include "obs/metrics.h"
 
 namespace rtp::exec {
-namespace {
-
-// Identifies the pool (and worker slot) owning the current thread, so
-// Submit can route to the worker's own deque and skip the queue bound, and
-// ParallelFor can help-run chunks instead of blocking a worker.
-thread_local const ThreadPool* tls_pool = nullptr;
-thread_local size_t tls_worker_index = 0;
-
-}  // namespace
 
 int ThreadPool::DefaultJobs() {
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ThreadPool::ThreadPool(int num_threads, size_t queue_capacity)
-    : queue_capacity_(std::max<size_t>(queue_capacity, 1)) {
+ThreadPool::ThreadPool(int num_threads) {
   int n = std::max(num_threads, 1);
-  shards_.resize(static_cast<size_t>(n));
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(static_cast<size_t>(i)); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
   RTP_OBS_GAUGE_SET("exec.pool.threads", n);
 }
@@ -41,53 +31,24 @@ ThreadPool::~ThreadPool() {
     stopping_ = true;
   }
   work_available_.notify_all();
-  space_available_.notify_all();
   for (std::thread& t : workers_) t.join();
-  RTP_CHECK(queued_ == 0);  // workers drain every queued task before exiting
+  RTP_CHECK(queue_.empty());  // workers drain every queued task before exiting
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
   RTP_CHECK(task != nullptr);
-  bool from_worker = tls_pool == this;
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!from_worker) {
-      space_available_.wait(
-          lock, [this] { return queued_ < queue_capacity_ || stopping_; });
-    }
-    size_t shard = from_worker ? tls_worker_index : next_shard_;
-    if (!from_worker) next_shard_ = (next_shard_ + 1) % shards_.size();
-    shards_[shard].tasks.push_back(std::move(task));
-    ++queued_;
-    RTP_OBS_GAUGE_SET("exec.pool.queue_depth", queued_);
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(std::move(task));
+    RTP_OBS_GAUGE_SET("exec.pool.queue_depth", queue_.size());
   }
   RTP_OBS_COUNT("exec.pool.tasks_submitted");
   work_available_.notify_one();
-}
-
-bool ThreadPool::TrySubmit(std::function<void()> task) {
-  RTP_CHECK(task != nullptr);
-  bool from_worker = tls_pool == this;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!from_worker && queued_ >= queue_capacity_) {
-      RTP_OBS_COUNT("exec.pool.tasks_rejected");
-      return false;
-    }
-    size_t shard = from_worker ? tls_worker_index : next_shard_;
-    if (!from_worker) next_shard_ = (next_shard_ + 1) % shards_.size();
-    shards_[shard].tasks.push_back(std::move(task));
-    ++queued_;
-    RTP_OBS_GAUGE_SET("exec.pool.queue_depth", queued_);
-  }
-  RTP_OBS_COUNT("exec.pool.tasks_submitted");
-  work_available_.notify_one();
-  return true;
 }
 
 void ThreadPool::Drain() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] { return queued_ == 0 && running_ == 0; });
+  idle_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
 }
 
 uint64_t ThreadPool::tasks_executed() const {
@@ -95,57 +56,21 @@ uint64_t ThreadPool::tasks_executed() const {
   return executed_;
 }
 
-uint64_t ThreadPool::steals() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return steals_;
-}
-
-bool ThreadPool::TryPop(size_t worker_index, std::function<void()>* task,
-                        bool* stolen) {
-  // Callers hold mu_.
-  Shard& own = shards_[worker_index];
-  if (!own.tasks.empty()) {
-    *task = std::move(own.tasks.back());  // LIFO on the own deque
-    own.tasks.pop_back();
-    *stolen = false;
-    return true;
-  }
-  for (size_t k = 1; k < shards_.size(); ++k) {
-    Shard& victim = shards_[(worker_index + k) % shards_.size()];
-    if (!victim.tasks.empty()) {
-      *task = std::move(victim.tasks.front());  // FIFO steal
-      victim.tasks.pop_front();
-      *stolen = true;
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(size_t worker_index) {
-  tls_pool = this;
-  tls_worker_index = worker_index;
+void ThreadPool::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    work_available_.wait(lock, [this] { return queued_ > 0 || stopping_; });
-    std::function<void()> task;
-    bool stolen = false;
-    if (!TryPop(worker_index, &task, &stolen)) {
-      if (stopping_) break;  // queues drained: graceful exit
-      continue;
-    }
-    --queued_;
+    work_available_.wait(lock, [this] { return !queue_.empty() || stopping_; });
+    if (queue_.empty()) break;  // stopping and drained: graceful exit
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
     ++running_;
-    if (stolen) ++steals_;
-    RTP_OBS_GAUGE_SET("exec.pool.queue_depth", queued_);
+    RTP_OBS_GAUGE_SET("exec.pool.queue_depth", queue_.size());
     lock.unlock();
-    space_available_.notify_one();
-    if (stolen) RTP_OBS_COUNT("exec.pool.steals");
     RunTask(&task);
     lock.lock();
     --running_;
     ++executed_;
-    if (queued_ == 0 && running_ == 0) idle_.notify_all();
+    if (queue_.empty() && running_ == 0) idle_.notify_all();
   }
 }
 

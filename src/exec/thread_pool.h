@@ -7,23 +7,17 @@
 // multi-document pattern evaluation.
 //
 // Design:
-//   * ThreadPool owns N worker threads, each with its own deque of tasks.
-//     Submissions are distributed round-robin over the worker deques; a
-//     worker pops its own deque LIFO (cache locality) and, when empty,
-//     steals the oldest task from a sibling's deque (FIFO steal — the
-//     classic work-stealing discipline).
-//   * The total number of queued-but-unstarted tasks is bounded
-//     (`queue_capacity`); Submit from a non-worker thread blocks until
-//     space frees up (backpressure instead of unbounded memory growth).
-//     Submit from a worker thread never blocks (it would deadlock the
-//     pool) — worker submissions bypass the bound.
+//   * ThreadPool owns N worker threads that pop tasks from one FIFO
+//     queue. The queue is unbounded: its only producer is ParallelFor,
+//     which submits at most num_threads() helpers per call, so the queue
+//     never holds more than that per caller.
 //   * Shutdown is graceful: the destructor drains every queued task, then
 //     joins the workers. A task that throws never wedges the pool — the
 //     exception is counted (`exec.pool.task_exceptions`) and, for tasks
 //     run through ParallelFor, captured and rethrown to the caller.
 //
-// Observability (see docs/PARALLELISM.md for the catalog):
-//   counters exec.pool.tasks_submitted / .tasks_executed / .steals /
+// Observability (see docs/OBSERVABILITY.md for the catalog):
+//   counters exec.pool.tasks_submitted / .tasks_executed /
 //            .task_exceptions / .parallel_for.calls
 //   gauges   exec.pool.threads, exec.pool.queue_depth
 //
@@ -36,8 +30,8 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -51,9 +45,8 @@ class ThreadPool {
   // 1; std::thread::hardware_concurrency may report 0).
   static int DefaultJobs();
 
-  // Creates `num_threads` workers (clamped to >= 1). `queue_capacity`
-  // bounds the queued-but-unstarted tasks seen by non-worker submitters.
-  explicit ThreadPool(int num_threads, size_t queue_capacity = 4096);
+  // Creates `num_threads` workers (clamped to >= 1).
+  explicit ThreadPool(int num_threads);
 
   // Drains all queued tasks, then joins the workers.
   ~ThreadPool();
@@ -63,59 +56,27 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  // Enqueues a task. Exceptions escaping `task` are caught and counted;
-  // they never terminate a worker. Blocks when the queue bound is reached
-  // (unless called from one of this pool's workers).
+  // Enqueues a task; never blocks. Exceptions escaping `task` are caught
+  // and counted; they never terminate a worker.
   void Submit(std::function<void()> task);
-
-  // Non-blocking Submit: returns false (and does not enqueue) when the
-  // queue bound is reached, instead of waiting for space. This is the
-  // admission-control path for serving layers: a full queue means the
-  // process is saturated, and the caller sheds the request (e.g. with a
-  // RESOURCE_EXHAUSTED response) rather than stacking up blocked
-  // connection threads. From one of this pool's workers it behaves like
-  // Submit (worker submissions bypass the bound and always succeed).
-  bool TrySubmit(std::function<void()> task);
 
   // Blocks until every task submitted so far has been executed.
   void Drain();
 
-  // Lifetime counters for tests / introspection.
+  // Lifetime counter for tests / introspection.
   uint64_t tasks_executed() const;
-  uint64_t steals() const;
-
-  // Instantaneous number of queued-but-unstarted tasks. Serving layers use
-  // this to derive backoff hints (retry_after_ms) on the shed path.
-  size_t queue_depth() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return queued_;
-  }
-
-  size_t queue_capacity() const { return queue_capacity_; }
 
  private:
-  struct Shard {
-    std::deque<std::function<void()>> tasks;
-  };
-
-  void WorkerLoop(size_t worker_index);
-  // Pops a task: own deque back (LIFO), then steal shard front (FIFO).
-  bool TryPop(size_t worker_index, std::function<void()>* task,
-              bool* stolen);
+  void WorkerLoop();
   void RunTask(std::function<void()>* task);
 
   mutable std::mutex mu_;
-  std::condition_variable work_available_;   // workers sleep here
-  std::condition_variable space_available_;  // bounded Submit sleeps here
-  std::condition_variable idle_;             // Drain sleeps here
-  std::vector<Shard> shards_;
-  size_t next_shard_ = 0;    // round-robin submission cursor
-  size_t queued_ = 0;        // total queued tasks across shards
-  size_t running_ = 0;       // tasks currently executing
-  size_t queue_capacity_;
+  std::condition_variable work_available_;  // workers sleep here
+  std::condition_variable idle_;            // Drain sleeps here
+  std::deque<std::function<void()>> queue_;
+  size_t running_ = 0;  // tasks currently executing
   bool stopping_ = false;
   uint64_t executed_ = 0;
-  uint64_t steals_ = 0;
   std::vector<std::thread> workers_;
 };
 

@@ -8,7 +8,7 @@
 namespace rtp::guard {
 
 namespace internal {
-thread_local GuardContext* tls_guard = nullptr;
+constinit thread_local GuardContext* tls_guard = nullptr;
 }  // namespace internal
 
 int64_t MonotonicNowNs() {

@@ -58,8 +58,8 @@ class GuardContext {
   // `start_ns` anchors the wall-clock deadline: 0 (the default) means "now",
   // a positive value is a MonotonicNowNs() timestamp taken earlier. A
   // serving layer passes the request's *arrival* time so the deadline
-  // covers queue wait as well as execution (an admission-to-completion
-  // deadline), not just the time after a pool worker picked the task up.
+  // covers the wait for an execution slot as well as execution itself
+  // (an arrival-to-completion deadline).
   explicit GuardContext(const ExecutionBudget& budget,
                         CancelToken* cancel = nullptr, int64_t start_ns = 0);
 
@@ -178,7 +178,11 @@ bool IsResourceStatus(const Status& status);
 bool IsResourceCode(StatusCode code);
 
 namespace internal {
-extern thread_local GuardContext* tls_guard;
+// constinit: the slot needs no dynamic initialization, so other
+// translation units read it directly rather than through gcc's TLS
+// wrapper, whose weak init-function check UBSan reports as a load of a
+// null pointer.
+extern constinit thread_local GuardContext* tls_guard;
 }  // namespace internal
 
 inline bool Active() { return internal::tls_guard != nullptr; }

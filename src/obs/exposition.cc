@@ -111,8 +111,8 @@ std::string SnapshotToJson(const MetricsSnapshot& snapshot) {
         << "\":{\"count\":" << d.count << ",\"sum\":" << d.sum
         << ",\"min\":" << d.ReportedMin() << ",\"max\":" << d.max
         << ",\"mean\":" << d.Mean()
-        << ",\"p50\":" << static_cast<uint64_t>(d.Quantile(0.5) + 0.5)
-        << ",\"p99\":" << static_cast<uint64_t>(d.Quantile(0.99) + 0.5)
+        << ",\"p50\":" << d.ApproxQuantile(0.5)
+        << ",\"p99\":" << d.ApproxQuantile(0.99)
         << "}";
   }
   out << "}}";

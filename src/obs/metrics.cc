@@ -9,11 +9,13 @@
 #include <mutex>
 #include <sstream>
 
+#include "obs/exposition.h"
+
 namespace rtp::obs {
 
 namespace internal {
 
-thread_local MetricDomain* tls_domain = nullptr;
+constinit thread_local MetricDomain* tls_domain = nullptr;
 
 std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -280,21 +282,6 @@ const Counter* MetricsRegistry::FindCounter(const std::string& name) const {
   return it == i->counter_names.end() ? nullptr : it->second;
 }
 
-const Gauge* MetricsRegistry::FindGauge(const std::string& name) const {
-  const Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mu);
-  auto it = i->gauge_names.find(name);
-  return it == i->gauge_names.end() ? nullptr : it->second;
-}
-
-const Histogram* MetricsRegistry::FindHistogram(
-    const std::string& name) const {
-  const Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mu);
-  auto it = i->histogram_names.find(name);
-  return it == i->histogram_names.end() ? nullptr : it->second;
-}
-
 Counter* MetricsRegistry::CounterById(uint32_t id) {
   Impl* i = impl();
   std::lock_guard<std::mutex> lock(i->mu);
@@ -305,18 +292,6 @@ Histogram* MetricsRegistry::HistogramById(uint32_t id) {
   Impl* i = impl();
   std::lock_guard<std::mutex> lock(i->mu);
   return id < i->histograms_by_id.size() ? i->histograms_by_id[id] : nullptr;
-}
-
-size_t MetricsRegistry::NumCounters() const {
-  const Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mu);
-  return i->counters_by_id.size();
-}
-
-size_t MetricsRegistry::NumHistograms() const {
-  const Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mu);
-  return i->histograms_by_id.size();
 }
 
 std::vector<std::string> MetricsRegistry::CounterNames() const {
@@ -363,62 +338,24 @@ void MetricsRegistry::VisitHistograms(
   for (const auto& [name, h] : i->histogram_names) fn(name, *h);
 }
 
-void MetricsRegistry::ResetAll() {
-  Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mu);
-  for (Counter& c : i->counters) c.Reset();
-  for (Gauge& g : i->gauges) g.Reset();
-  for (Histogram& h : i->histograms) h.Reset();
-}
-
 std::string MetricsRegistry::DumpJson() const {
-  const Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mu);
-  std::ostringstream out;
-  out << "{\"schema_version\":" << kDumpSchemaVersion << ",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : i->counter_names) {
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << internal::JsonEscape(name) << "\":" << c->value();
-  }
-  out << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : i->gauge_names) {
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << internal::JsonEscape(name) << "\":" << g->value();
-  }
-  out << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : i->histogram_names) {
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << internal::JsonEscape(name) << "\":{\"count\":" << h->count()
-        << ",\"sum\":" << h->sum() << ",\"min\":" << h->min()
-        << ",\"max\":" << h->max() << ",\"mean\":" << h->mean()
-        << ",\"p50\":" << h->ApproxQuantile(0.5)
-        << ",\"p99\":" << h->ApproxQuantile(0.99) << "}";
-  }
-  out << "}}";
-  return out.str();
+  return SnapshotToJson(TakeSnapshot());
 }
 
 std::string MetricsRegistry::DumpText() const {
-  const Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mu);
+  MetricsSnapshot snapshot = TakeSnapshot();
   std::ostringstream out;
-  for (const auto& [name, c] : i->counter_names) {
-    out << name << " = " << c->value() << "\n";
+  for (const auto& [name, value] : snapshot.counters) {
+    out << name << " = " << value << "\n";
   }
-  for (const auto& [name, g] : i->gauge_names) {
-    out << name << " = " << g->value() << "\n";
+  for (const auto& [name, value] : snapshot.gauges) {
+    out << name << " = " << value << "\n";
   }
-  for (const auto& [name, h] : i->histogram_names) {
-    out << name << ": count=" << h->count() << " sum=" << h->sum()
-        << " min=" << h->min() << " max=" << h->max() << " mean=" << h->mean()
-        << " p50=" << h->ApproxQuantile(0.5)
-        << " p99=" << h->ApproxQuantile(0.99) << "\n";
+  for (const auto& [name, d] : snapshot.histograms) {
+    out << name << ": count=" << d.count << " sum=" << d.sum
+        << " min=" << d.ReportedMin() << " max=" << d.max
+        << " mean=" << d.Mean() << " p50=" << d.ApproxQuantile(0.5)
+        << " p99=" << d.ApproxQuantile(0.99) << "\n";
   }
   return out.str();
 }

@@ -44,7 +44,8 @@ namespace internal {
 
 // The innermost MetricDomain capturing on this thread, or nullptr (the
 // common case: everything records straight into the global cells).
-extern thread_local MetricDomain* tls_domain;
+// constinit for the same reason as guard::internal::tls_guard.
+extern constinit thread_local MetricDomain* tls_domain;
 
 // Out-of-line capture paths (domain.cc). They fall back to the global
 // cell for metrics that were never registered (id() == kUnregisteredId).
@@ -160,6 +161,9 @@ struct HistogramDelta {
                       : static_cast<double>(sum) / static_cast<double>(count);
   }
   double Quantile(double q) const;
+  uint64_t ApproxQuantile(double q) const {
+    return static_cast<uint64_t>(Quantile(q) + 0.5);
+  }
 };
 
 // The version of the DumpJson()/SnapshotToJson() document shape, emitted
@@ -184,15 +188,11 @@ class MetricsRegistry {
 
   // Nullptr when absent (does not create).
   const Counter* FindCounter(const std::string& name) const;
-  const Gauge* FindGauge(const std::string& name) const;
-  const Histogram* FindHistogram(const std::string& name) const;
 
   // Id-indexed access for MetricDomain capture/flush. Ids are dense per
   // kind, assigned in registration order; nullptr past the current count.
   Counter* CounterById(uint32_t id);
   Histogram* HistogramById(uint32_t id);
-  size_t NumCounters() const;
-  size_t NumHistograms() const;
   // Names indexed by id (names[i] is the metric with id i).
   std::vector<std::string> CounterNames() const;
   std::vector<std::string> HistogramNames() const;
@@ -206,10 +206,6 @@ class MetricsRegistry {
   void VisitHistograms(
       const std::function<void(const std::string&, const Histogram&)>& fn)
       const;
-
-  // Zeroes every registered metric (the registration set is preserved, so
-  // cached call-site pointers stay valid). Test/bench infrastructure.
-  void ResetAll();
 
   // Structured exports; metrics appear sorted by name. JSON shape:
   //   {"schema_version":2,

@@ -271,10 +271,4 @@ StatusOr<Schema> Schema::Create(
   return schema;
 }
 
-automata::StateId Schema::ElementState(std::string_view label) const {
-  auto it = element_states_.find(std::string(label));
-  RTP_CHECK_MSG(it != element_states_.end(), "element not declared");
-  return it->second;
-}
-
 }  // namespace rtp::schema

@@ -54,9 +54,6 @@ class Schema {
     return automaton_.Accepts(doc);
   }
 
-  // The state assigned to a given element label (testing / diagnostics).
-  automata::StateId ElementState(std::string_view label) const;
-
   // Declared elements with their content-model DFAs over *label* symbols
   // (an element with no children allowed maps to the empty-word DFA).
   // Drives the schema-directed random document generator.

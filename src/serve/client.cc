@@ -96,7 +96,7 @@ StatusOr<Client> Client::Connect(const std::string& socket_path,
 Client::Client(Client&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       next_id_(other.next_id_),
-      read_buffer_(std::move(other.read_buffer_)),
+      framer_(std::move(other.framer_)),
       socket_path_(std::move(other.socket_path_)),
       options_(other.options_),
       jitter_(other.jitter_),
@@ -108,7 +108,7 @@ Client& Client::operator=(Client&& other) noexcept {
     if (fd_ >= 0) ::close(fd_);
     fd_ = std::exchange(other.fd_, -1);
     next_id_ = other.next_id_;
-    read_buffer_ = std::move(other.read_buffer_);
+    framer_ = std::move(other.framer_);
     socket_path_ = std::move(other.socket_path_);
     options_ = other.options_;
     jitter_ = other.jitter_;
@@ -127,7 +127,7 @@ void Client::CloseBroken() {
     ::close(fd_);
     fd_ = -1;
   }
-  read_buffer_.clear();
+  framer_ = LineFramer(std::numeric_limits<size_t>::max());
 }
 
 void Client::ApplySocketTimeouts(int64_t deadline_ns) {
@@ -176,12 +176,8 @@ StatusOr<std::string> Client::ReadLine() {
   if (fd_ < 0) return FailedPreconditionError("client is closed");
   char chunk[4096];
   while (true) {
-    size_t nl = read_buffer_.find('\n');
-    if (nl != std::string::npos) {
-      std::string line = read_buffer_.substr(0, nl);
-      read_buffer_.erase(0, nl + 1);
-      return line;
-    }
+    std::optional<LineFramer::Line> line = framer_.Next();
+    if (line.has_value()) return std::move(line->text);
     ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n == 0) {
       return UnavailableError("connection closed by server");
@@ -193,7 +189,7 @@ StatusOr<std::string> Client::ReadLine() {
       }
       return UnavailableError(std::string("recv(): ") + strerror(errno));
     }
-    read_buffer_.append(chunk, static_cast<size_t>(n));
+    framer_.Feed(std::string_view(chunk, static_cast<size_t>(n)));
   }
 }
 

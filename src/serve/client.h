@@ -30,6 +30,7 @@
 // clean, so the per-node fault counts of a seeded workload run repeat.
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "guard/guard.h"
+#include "serve/framing.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
 
@@ -163,7 +165,8 @@ class Client {
 
   // Raw line I/O for the protocol and robustness tests (malformed bytes,
   // mid-request disconnects). SendLine appends the newline itself;
-  // ReadLine strips it. ReadLine fails when the server closes first.
+  // ReadLine strips it (and, like the server's LineFramer, a trailing CR,
+  // skipping blank lines). ReadLine fails when the server closes first.
   Status SendLine(const std::string& line);
   StatusOr<std::string> ReadLine();
 
@@ -196,7 +199,7 @@ class Client {
 
   int fd_ = -1;
   int64_t next_id_ = 1;
-  std::string read_buffer_;
+  LineFramer framer_{std::numeric_limits<size_t>::max()};
   std::string socket_path_;
   ClientOptions options_;
   Rng jitter_{1};

@@ -16,13 +16,17 @@ void LineFramer::Feed(std::string_view bytes) {
 
 std::optional<LineFramer::Line> LineFramer::Next() {
   while (true) {
-    size_t nl = buffer_.find('\n');
+    // Resume where the last search stopped, so a long line arriving in
+    // many chunks is scanned once, not once per chunk.
+    size_t nl = buffer_.find('\n', scanned_);
     if (nl == std::string::npos) {
+      scanned_ = buffer_.size();
       if (!skipping_ && buffer_.size() > max_line_bytes_) {
         // The unterminated line is already too long: report it once and
         // discard everything until its newline eventually arrives.
         skipping_ = true;
         buffer_.clear();
+        scanned_ = 0;
         Line line;
         line.oversized = true;
         return line;
@@ -31,6 +35,7 @@ std::optional<LineFramer::Line> LineFramer::Next() {
     }
     std::string text = buffer_.substr(0, nl);
     buffer_.erase(0, nl + 1);
+    scanned_ = 0;
     if (text.size() > max_line_bytes_) {
       Line line;
       line.oversized = true;

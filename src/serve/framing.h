@@ -1,9 +1,9 @@
 #ifndef RTP_SERVE_FRAMING_H_
 #define RTP_SERVE_FRAMING_H_
 
-// Line framing for the rtpd wire protocol, factored out of the server's
-// connection loop so the exact same reassembly code can be driven by the
-// torn-input tests and the `serve` fuzz harness. The protocol is one JSON
+// Line framing for the rtpd wire protocol: the server's connection loop
+// and serve::Client both read through it, and the torn-input tests and
+// the `serve` fuzz harness drive the same code. The protocol is one JSON
 // object per '\n'-terminated line; bytes arrive in arbitrary chunks
 // (including mid-line, one byte at a time, or several lines at once).
 //
@@ -27,6 +27,7 @@ class LineFramer {
     bool oversized = false; // marker: the line exceeded max_line_bytes
   };
 
+  // SIZE_MAX means no cap (the client side: responses have no limit).
   explicit LineFramer(size_t max_line_bytes)
       : max_line_bytes_(max_line_bytes) {}
 
@@ -46,6 +47,7 @@ class LineFramer {
 
  private:
   std::string buffer_;
+  size_t scanned_ = 0;  // buffer_[0, scanned_) holds no newline
   size_t max_line_bytes_;
   bool skipping_ = false;  // discarding the tail of an oversized line
 };

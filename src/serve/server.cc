@@ -10,7 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
+#include <exception>
 #include <optional>
 
 #include "exec/automaton_cache.h"
@@ -51,14 +51,10 @@ bool SendAll(int fd, const std::string& data) {
   return true;
 }
 
-bool PeerDisconnected(int fd) {
-  struct pollfd p;
-  p.fd = fd;
-  p.events = POLLRDHUP;
-  p.revents = 0;
-  if (::poll(&p, 1, 0) <= 0) return false;
-  return (p.revents & (POLLRDHUP | POLLHUP | POLLERR | POLLNVAL)) != 0;
-}
+// How often the accept loop refreshes the set of busy connections it
+// watches for a peer hang-up, so a request that starts between two polls
+// is watched within this long.
+constexpr int kWatchTickMs = 50;
 
 // Per-op request counters; one macro call site per op so each caches its
 // own counter pointer.
@@ -84,12 +80,13 @@ void AttachProfile(JsonValue* response, const obs::QueryProfile& profile) {
 }  // namespace
 
 // One accepted client. The connection thread owns the socket for reads
-// and writes; pool tasks only touch the CancelToken (via pointer) and
-// never the fd.
+// and writes and runs the connection's requests; while `busy`, the accept
+// loop polls the fd for a hang-up and fires `cancel`.
 struct Server::Connection {
   int fd = -1;
   std::thread thread;
   guard::CancelToken cancel;
+  std::atomic<bool> busy{false};  // a heavy op is waiting or running
   std::atomic<bool> done{false};
 };
 
@@ -98,8 +95,8 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {}
 StatusOr<std::unique_ptr<Server>> Server::Start(const ServerOptions& options) {
   std::unique_ptr<Server> server(new Server(options));
   RTP_RETURN_IF_ERROR(server->Listen());
-  server->pool_ = std::make_unique<exec::ThreadPool>(
-      std::max(1, options.jobs), options.queue_capacity);
+  server->pool_ =
+      std::make_unique<exec::ThreadPool>(std::max(1, options.jobs));
   server->accept_thread_ = std::thread(&Server::AcceptLoop, server.get());
   RTP_LOG(INFO) << "rtpd listening on " << options.socket_path << " ("
                 << std::max(1, options.jobs) << " workers)";
@@ -172,14 +169,18 @@ void Server::Stop() {
     std::lock_guard<std::mutex> lock(mu_);
     conns.swap(connections_);
   }
-  // Unblock every connection thread's recv; their in-flight pool tasks see
-  // the cancel token fire when the thread notices the closed socket.
-  for (auto& conn : conns) ::shutdown(conn->fd, SHUT_RDWR);
+  // In-flight requests run on their connection threads, and with the
+  // accept loop gone nothing watches their sockets: fire every token so
+  // guarded work exits promptly, and unblock every recv.
+  for (auto& conn : conns) {
+    conn->cancel.Cancel();
+    ::shutdown(conn->fd, SHUT_RDWR);
+  }
   for (auto& conn : conns) {
     if (conn->thread.joinable()) conn->thread.join();
     ::close(conn->fd);
   }
-  pool_.reset();  // drains any still-queued tasks
+  pool_.reset();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -237,28 +238,64 @@ void Server::Drain(int grace_ms) {
   RTP_OBS_COUNT("serve.drain.completed");
 }
 
-int64_t Server::RetryAfterMsHint() const {
-  size_t depth = pool_ != nullptr ? pool_->queue_depth() : 0;
-  return std::min<int64_t>(static_cast<int64_t>(depth) + 1,
-                           options_.max_retry_after_ms);
+bool Server::Admit(int64_t* retry_after_ms) {
+  const int jobs = std::max(1, options_.jobs);
+  std::unique_lock<std::mutex> lock(gate_mu_);
+  // queue_capacity == 0 is the degenerate "always shed" configuration.
+  if (options_.queue_capacity == 0 ||
+      (executing_ >= jobs && waiting_ >= options_.queue_capacity)) {
+    *retry_after_ms = std::min<int64_t>(static_cast<int64_t>(waiting_) + 1,
+                                        options_.max_retry_after_ms);
+    return false;
+  }
+  ++waiting_;
+  gate_cv_.wait(lock, [this, jobs] { return executing_ < jobs; });
+  --waiting_;
+  ++executing_;
+  return true;
+}
+
+void Server::Release() {
+  {
+    std::lock_guard<std::mutex> lock(gate_mu_);
+    --executing_;
+  }
+  gate_cv_.notify_one();
 }
 
 void Server::AcceptLoop() {
+  std::vector<struct pollfd> fds;
+  std::vector<Connection*> watched;
   while (true) {
-    struct pollfd fds[2];
-    fds[0].fd = listen_fd_;
-    fds[0].events = POLLIN;
-    fds[0].revents = 0;
-    fds[1].fd = wake_pipe_[0];
-    fds[1].events = POLLIN;
-    fds[1].revents = 0;
-    if (::poll(fds, 2, -1) < 0) {
+    // Slots 0 and 1 are the listener and the wake pipe; the rest watch the
+    // busy connections whose tokens have not fired yet.
+    fds.assign({{listen_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}});
+    watched.clear();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (const auto& conn : connections_) {
+        if (conn->busy.load(std::memory_order_acquire) &&
+            !conn->cancel.cancelled()) {
+          fds.push_back({conn->fd, POLLRDHUP, 0});
+          watched.push_back(conn.get());
+        }
+      }
+    }
+    if (::poll(fds.data(), fds.size(), kWatchTickMs) < 0) {
       if (errno == EINTR) continue;
       break;
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (stop_requested_) break;
+    }
+    // A peer that hangs up mid-request cancels the connection token, and
+    // every guard wired to it trips, so abandoned work drains instead of
+    // running to the bitter end.
+    for (size_t i = 0; i < watched.size(); ++i) {
+      if ((fds[i + 2].revents & (POLLRDHUP | POLLHUP | POLLERR)) != 0) {
+        watched[i]->cancel.Cancel();
+      }
     }
     if ((fds[0].revents & POLLIN) == 0) continue;
     int fd = ::accept(listen_fd_, nullptr, nullptr);
@@ -398,48 +435,30 @@ std::string Server::HandleLine(Connection* conn, const std::string& line) {
     stop_cv_.notify_all();
     return std::string();
   } else if (req.op == "drop" || req.op == "quota") {
-    // Registry-only ops: cheap enough to run on the connection thread.
+    // Registry-only ops: cheap enough to skip the admission gate.
     response = HandleRequest(conn, req, arrival_ns);
   } else {
-    // Heavy ops run on the shared pool; a full queue sheds the request
-    // instead of queueing the connection thread behind it.
-    struct Pending {
-      std::mutex m;
-      std::condition_variable cv;
-      bool done = false;
-      JsonValue response;
-    };
-    auto pending = std::make_shared<Pending>();
-    auto shared_req = std::make_shared<Request>(std::move(req));
-    // queue_capacity == 0 is "always shed" (the pool itself clamps its
-    // queue to >= 1, so the degenerate config is enforced here).
-    bool admitted =
-        options_.queue_capacity > 0 &&
-        pool_->TrySubmit([this, conn, shared_req, arrival_ns, pending] {
-          JsonValue result = HandleRequest(conn, *shared_req, arrival_ns);
-          std::lock_guard<std::mutex> lock(pending->m);
-          pending->response = std::move(result);
-          pending->done = true;
-          pending->cv.notify_all();
-        });
-    if (!admitted) {
-      RTP_OBS_COUNT("serve.requests.shed");
-      response = MakeShedResponse(shared_req->id, RetryAfterMsHint());
-    } else {
-      // Await completion while watching the socket: a peer that hangs up
-      // mid-request cancels the connection token, and every guard wired
-      // to it trips, so abandoned work drains instead of running to the
-      // bitter end.
-      std::unique_lock<std::mutex> lock(pending->m);
-      while (!pending->done) {
-        pending->cv.wait_for(lock, std::chrono::milliseconds(50));
-        if (pending->done) break;
-        lock.unlock();
-        if (PeerDisconnected(conn->fd)) conn->cancel.Cancel();
-        lock.lock();
+    // Heavy ops run on this thread once the admission gate lets them
+    // through; a full gate sheds the request.
+    conn->busy.store(true, std::memory_order_release);
+    int64_t retry_after_ms = 0;
+    if (Admit(&retry_after_ms)) {
+      // An exception from a heavy op (std::bad_alloc on a huge document,
+      // say) answers this request with INTERNAL instead of ending the
+      // daemon through its connection thread.
+      try {
+        response = HandleRequest(conn, req, arrival_ns);
+      } catch (const std::exception& e) {
+        RTP_OBS_COUNT("serve.errors.request");
+        response = MakeErrorResponse(
+            req.id, InternalError(std::string("request failed: ") + e.what()));
       }
-      response = std::move(pending->response);
+      Release();
+    } else {
+      RTP_OBS_COUNT("serve.requests.shed");
+      response = MakeShedResponse(req.id, retry_after_ms);
     }
+    conn->busy.store(false, std::memory_order_release);
   }
   RTP_OBS_HISTOGRAM_RECORD("serve.request_ns",
                            guard::MonotonicNowNs() - arrival_ns);

@@ -6,22 +6,26 @@
 // A Server listens on a local AF_UNIX stream socket and speaks the
 // line-delimited JSON protocol of serve/protocol.h. Architecture:
 //
-//   * One accept thread plus one thread per connection. Connection
-//     threads only do I/O and framing; the heavy ops (load, eval,
-//     checkfd, matrix) run as tasks on a shared rtp::exec::ThreadPool,
-//     admitted with TrySubmit — a full queue sheds the request with a
-//     RESOURCE_EXHAUSTED response instead of stacking up blocked threads.
+//   * One accept thread plus one thread per connection. A connection
+//     thread decodes each request and runs it itself. The heavy ops
+//     (load, eval, checkfd, matrix) first pass a counting admission gate:
+//     at most `jobs` execute at once, up to `queue_capacity` more wait on
+//     one condition variable, and any request beyond that is shed with a
+//     RESOURCE_EXHAUSTED response. The shared rtp::exec::ThreadPool only
+//     fans a matrix's cells out, next to the connection thread.
 //   * State lives in a TenantRegistry (serve/corpus.h): per-tenant
 //     alphabet + named pre-indexed documents, exclusive-locked for parse
 //     phases and shared-locked for evaluation, so one tenant's load never
 //     stalls another tenant's queries.
 //   * Every request runs under the guard machinery: the effective budget
 //     is the request's, else the tenant default (quota op), else the
-//     server default. Deadlines are anchored at request *arrival* (queue
-//     wait counts). Each connection owns a guard::CancelToken that the
-//     connection thread cancels when the peer disconnects mid-request, so
-//     abandoned work drains promptly. A trip degrades only the offending
-//     request: the response carries the resource status and the process
+//     server default. Deadlines are anchored at request *arrival* (time
+//     spent waiting at the gate counts). Each connection owns a
+//     guard::CancelToken. While a request waits or runs, the accept loop
+//     polls its socket on a 50 ms tick and cancels the token when the
+//     peer hangs up, and Stop() cancels every token, so abandoned work
+//     drains promptly. A trip degrades only the offending request: the
+//     response carries the resource status and the process
 //     (including the warm AutomatonCache) is untouched — budget-limited
 //     matrix requests deliberately bypass the shared cache, which must
 //     never memoize partially-built automata.
@@ -36,8 +40,10 @@
 // tests/serve_test.cc checks against its in-process oracle.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,19 +60,22 @@ struct ServerOptions {
   // Filesystem path of the AF_UNIX socket. A stale socket file from a
   // previous run is replaced.
   std::string socket_path;
-  // Worker threads for request execution (not connection I/O).
+  // Heavy ops (load, eval, checkfd, matrix) that may execute at once, and
+  // the worker threads a matrix fans its cells out to.
   int jobs = 2;
-  // Tasks admitted but not yet started before TrySubmit sheds load.
-  // 0 is the degenerate always-shed configuration: every pooled op is
-  // refused with a shed response (used by the overload transcript and
-  // tests; a real deployment wants a positive capacity).
+  // Heavy ops that may wait at the admission gate while `jobs` execute;
+  // the gate sheds any request beyond that. 0 is the degenerate
+  // always-shed configuration: every heavy op is refused with a shed
+  // response (used by the overload transcript and tests; a real
+  // deployment wants a positive capacity).
   size_t queue_capacity = 1024;
   // A connection that stays silent this long is reaped (closed) by its
   // connection thread, so stalled peers cannot pin threads forever.
   // 0 = never reap (the historical behavior; in-process tests keep it).
   int idle_timeout_ms = 0;
   // Ceiling for the retry_after_ms hint carried by shed responses (the
-  // hint itself scales with the instantaneous queue depth).
+  // hint itself is one more than the number of requests waiting at the
+  // gate).
   int max_retry_after_ms = 1000;
   // A request line longer than this is rejected with RESOURCE_EXHAUSTED
   // and skipped (the connection survives).
@@ -92,10 +101,10 @@ class Server {
   // Bounded Wait: true when the server has been asked to stop.
   bool WaitFor(int timeout_ms);
 
-  // Initiates shutdown: stops accepting, shuts down live connections
-  // (in-flight tasks run to completion — their cancel tokens fire, so
-  // guarded work exits promptly), joins all threads, removes the socket
-  // file. Safe to call from any thread; idempotent.
+  // Initiates shutdown: stops accepting, cancels every connection's token
+  // (so guarded in-flight work exits promptly) and shuts its socket down,
+  // joins all threads, removes the socket file. Safe to call from any
+  // thread; idempotent.
   void Stop();
 
   // Graceful drain (SIGTERM path): immediately unlinks the socket so new
@@ -117,7 +126,7 @@ class Server {
   void ServeConnection(Connection* conn);
   // Frames one request line into one response line.
   std::string HandleLine(Connection* conn, const std::string& line);
-  // Dispatches a decoded request (runs on a pool worker for heavy ops).
+  // Dispatches a decoded request (heavy ops only once admitted).
   JsonValue HandleRequest(Connection* conn, const Request& req,
                           int64_t arrival_ns);
 
@@ -137,9 +146,13 @@ class Server {
   JsonValue HandleDrop(Tenant& tenant, const Request& req);
   JsonValue HandleQuota(Tenant& tenant, const Request& req);
 
-  // Backoff hint for shed responses: grows with the instantaneous pool
-  // queue depth, capped at options_.max_retry_after_ms.
-  int64_t RetryAfterMsHint() const;
+  // The admission gate. Admit blocks while `jobs` requests execute and
+  // returns true once the caller may execute; it returns false at once
+  // when the gate's queue is full, with the shed response's backoff hint
+  // (waiting requests + 1, capped at max_retry_after_ms) in
+  // *retry_after_ms. Every admitted request calls Release when done.
+  bool Admit(int64_t* retry_after_ms);
+  void Release();
 
   const ServerOptions options_;
 
@@ -147,8 +160,13 @@ class Server {
   // Self-pipe that wakes the accept loop's poll on Stop().
   int wake_pipe_[2] = {-1, -1};
 
-  std::unique_ptr<exec::ThreadPool> pool_;
+  std::unique_ptr<exec::ThreadPool> pool_;  // a matrix's cell fan-out
   TenantRegistry tenants_;
+
+  std::mutex gate_mu_;
+  std::condition_variable gate_cv_;  // waiters at the gate sleep here
+  int executing_ = 0;                // admitted and not yet released
+  size_t waiting_ = 0;               // blocked in Admit
 
   std::mutex mu_;
   std::condition_variable stop_cv_;

@@ -1,8 +1,7 @@
-// Unit tests for the PR 3 dense hot-path kernel: DenseDfa flat tables,
+// Unit tests for the dense hot-path kernel: DenseDfa flat tables,
 // DocIndex snapshots, minimal-edge-DFA enforcement at pattern compile
-// time, the TraceOf output ordering pin, and DenseDfa memoization in the
-// AutomatonCache. The cross-evaluator differential battery lives in
-// parallel_differential_test.cc.
+// time, and the TraceOf output ordering pin. The cross-evaluator
+// differential battery lives in parallel_differential_test.cc.
 
 #include <memory>
 #include <set>
@@ -10,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/automaton_cache.h"
 #include "fd/functional_dependency.h"
 #include "fd/path_fd.h"
 #include "pattern/evaluator.h"
@@ -222,28 +220,6 @@ TEST(DenseKernelTest, DocAndIndexBuildsAreBitIdentical) {
       pattern::MatchTables::Build(parsed->pattern, index);
   EXPECT_EQ(pattern::MappingEnumerator(from_doc).Count(),
             pattern::MappingEnumerator(from_index).Count());
-}
-
-TEST(AutomatonCacheTest, DenseDfaSectionBuildsOncePerKey) {
-  exec::AutomatonCache cache;
-  Alphabet alphabet;
-  auto regex = regex::Regex::Parse(&alphabet, "a/b*");
-  ASSERT_TRUE(regex.ok());
-  int builds = 0;
-  auto build = [&] {
-    ++builds;
-    return regex::DenseDfa::Build(regex->dfa());
-  };
-  std::shared_ptr<const regex::DenseDfa> first =
-      cache.GetDenseDfa("regex:a/b*", build);
-  std::shared_ptr<const regex::DenseDfa> second =
-      cache.GetDenseDfa("regex:a/b*", build);
-  EXPECT_EQ(builds, 1);
-  EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(cache.size(), 1u);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(first->NumStates(), regex->dfa().NumStates());  // still alive
 }
 
 }  // namespace

@@ -63,18 +63,6 @@ TEST(ThreadPoolTest, TaskExceptionDoesNotWedgePool) {
   EXPECT_EQ(count.load(), 16);
 }
 
-TEST(ThreadPoolTest, BoundedQueueBackpressureStillRunsEverything) {
-  // Capacity far below the submission count: non-worker Submit must block
-  // for space rather than drop or deadlock.
-  ThreadPool pool(2, /*queue_capacity=*/4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Drain();
-  EXPECT_EQ(count.load(), 200);
-}
-
 TEST(ThreadPoolTest, DefaultJobsIsPositive) {
   EXPECT_GE(ThreadPool::DefaultJobs(), 1);
 }

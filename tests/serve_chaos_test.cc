@@ -21,8 +21,10 @@
 
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -125,6 +127,29 @@ TEST(LineFramerTest, OversizedLineYieldsOneMarkerAndBoundsMemory) {
   ASSERT_TRUE(ok.has_value());
   EXPECT_FALSE(ok->oversized);
   EXPECT_EQ(ok->text, "ok");
+}
+
+// A 1 MB line fed in 4 KB chunks, as recv() delivers it, comes back once
+// and intact. Next() runs after every chunk, as in both read loops, so the
+// newline search resumes 256 times over one growing buffer.
+TEST(LineFramerTest, LongLineInChunksComesBackOnceIntact) {
+  std::string big;
+  for (size_t i = 0; i < (size_t{1} << 20); ++i) {
+    big.push_back(static_cast<char>('a' + i % 26));
+  }
+  const std::string wire = big + "\n";
+  LineFramer framer(std::numeric_limits<size_t>::max());
+  std::vector<std::string> lines;
+  for (size_t off = 0; off < wire.size(); off += 4096) {
+    framer.Feed(std::string_view(wire).substr(off, 4096));
+    while (auto line = framer.Next()) {
+      EXPECT_FALSE(line->oversized);
+      lines.push_back(std::move(line->text));
+    }
+  }
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0], big);
+  EXPECT_FALSE(framer.HasBufferedData());
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -399,6 +400,53 @@ TEST(ServeTest, MidRequestDisconnectLeavesServerHealthy) {
   EXPECT_EQ(eval_or->tuples, OracleEval(xml, pattern));
 
   ts.server->Stop();
+}
+
+// A peer that hangs up mid-request cancels that request. The eval below
+// would enumerate C(300,5), about 2e10 mappings, all projecting to one
+// tuple: minutes of work in bounded memory, under a deadline of an hour.
+// Only the disconnect watch can trip it within the test's wait.
+TEST(ServeTest, DisconnectCancelsTheRunningRequest) {
+  ServerOptions options;
+  options.jobs = 2;
+  TestServer ts = StartTestServer(options);
+  ASSERT_NE(ts.server, nullptr);
+
+  std::string xml = "<r>";
+  for (int i = 0; i < 300; ++i) xml += "<a/>";
+  xml += "</r>";
+  Client client = ConnectOrDie(ts.socket_path);
+  ASSERT_TRUE(client.Load("wide", "doc", xml).ok());
+
+  {
+    Client aborter = ConnectOrDie(ts.socket_path);
+    Request req;
+    req.id = 1;
+    req.op = "eval";
+    req.tenant = "wide";
+    req.doc = "doc";
+    req.text = "root { y = r { a; a; a; a; a; } } select y;";
+    req.budget.deadline_ms = 3'600'000;
+    req.has_budget = true;
+    ASSERT_TRUE(aborter.SendLine(EncodeRequest(req).Serialize()).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }  // the destructor closes the socket without reading the response
+
+  int64_t trips = 0;
+  auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (trips == 0 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    auto stats_or = client.Stats();
+    ASSERT_TRUE(stats_or.ok()) << stats_or.status().ToString();
+    ASSERT_EQ(stats_or->size(), 1u);
+    trips = (*stats_or)[0].trips;
+  }
+  EXPECT_EQ(trips, 1);
+
+  auto stop_start = std::chrono::steady_clock::now();
+  ts.server->Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_start,
+            std::chrono::seconds(5));
 }
 
 // Malformed bytes — hand-picked and fuzz-generated — get a structured

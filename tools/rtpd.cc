@@ -13,10 +13,12 @@
 // SIGTERM drains gracefully (docs/ROBUSTNESS.md): the socket path is
 // removed immediately so new connects fail, in-flight requests finish,
 // and only after --drain-grace-ms are stragglers severed. SIGINT and the
-// shutdown op stop immediately (in-flight work still completes; the
-// guard cancel tokens fire for abandoned requests).
+// shutdown op stop immediately: every connection's cancel token fires,
+// so in-flight guarded work trips and exits promptly.
 //
 // Exit codes: 0 clean shutdown, 2 usage or startup error.
+
+#include <malloc.h>
 
 #include <csignal>
 #include <cstdio>
@@ -38,10 +40,10 @@ int Usage(const char* detail = nullptr) {
   if (detail != nullptr) std::fprintf(stderr, "error: %s\n", detail);
   std::fprintf(stderr,
                "usage: rtpd --socket=PATH [flags]\n"
-               "flags: --jobs=N            request worker threads "
-               "(default 2, 0 = hardware)\n"
-               "       --queue-capacity=N  admitted-but-unstarted request "
-               "bound (default 1024)\n"
+               "flags: --jobs=N            heavy requests executing at "
+               "once (default 2, 0 = hardware)\n"
+               "       --queue-capacity=N  heavy requests waiting for a "
+               "slot before sheds (default 1024)\n"
                "       --max-line-bytes=N  request line size cap "
                "(default 1048576)\n"
                "       --idle-timeout-ms=N reap connections silent this "
@@ -71,6 +73,15 @@ int64_t ParseCountFlag(const char* arg, const char* prefix) {
 }  // namespace
 
 int main(int argc, char** argv) {
+#ifdef __GLIBC__
+  // Each heavy request allocates and frees several MB on its connection
+  // thread. With glibc's default thresholds that memory goes back to the
+  // kernel after every request (arena trim, munmap of large chunks) and
+  // the next request faults it in again, paying system time each time.
+  // Keep freed memory in the arenas instead.
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 256 << 20);
+#endif
   rtp::serve::ServerOptions options;
   options.idle_timeout_ms = 30000;
   int drain_grace_ms = 5000;
