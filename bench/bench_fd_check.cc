@@ -74,7 +74,7 @@ BENCHMARK(BM_CheckFd1Violating)->Range(64, 16384)->Complexity();
 // Batch checking across documents (one per corpus member, distinct seeds),
 // swept over jobs: the fleet-of-documents scenario CheckFdBatch
 // parallelizes. Results are identical for every jobs value; on a
-// single-core host the sweep only measures pool overhead.
+// single-core host the sweep only measures thread start-up overhead.
 void BM_CheckFd1BatchJobs(benchmark::State& state) {
   Alphabet alphabet;
   fd::FunctionalDependency fd1 = MustFd(workload::PaperFd1(&alphabet));

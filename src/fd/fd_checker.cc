@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/hashing.h"
+#include "exec/parallel_for.h"
 #include "guard/failpoints.h"
 #include "guard/guard.h"
 #include "obs/metrics.h"
@@ -166,19 +167,13 @@ std::vector<CheckResult> CheckFdBatch(
     const BatchCheckOptions& options) {
   RTP_OBS_COUNT("fd.check.batches");
   RTP_OBS_SCOPED_TIMER("fd.check.batch_ns");
-  exec::ThreadPool* pool = options.pool;
-  std::optional<exec::ThreadPool> owned_pool;
-  if (pool == nullptr && options.jobs > 1) {
-    owned_pool.emplace(options.jobs);
-    pool = &*owned_pool;
-  }
   if (options.profiles != nullptr) {
     options.profiles->assign(docs.size(), obs::QueryProfile());
   }
   std::vector<CheckResult> results(docs.size());
-  exec::ParallelFor(pool, docs.size(), [&](size_t i) {
+  exec::ParallelFor(options.jobs, docs.size(), [&](size_t i) {
     // Pre-cancelled items skip the work entirely so a cancelled batch
-    // drains the pool quickly; CheckFd installs the per-document guard.
+    // drains quickly; CheckFd installs the per-document guard.
     if (options.check.cancel != nullptr && options.check.cancel->cancelled()) {
       results[i].status = CancelledError("cancelled before check");
       return;

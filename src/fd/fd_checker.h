@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/thread_pool.h"
 #include "fd/functional_dependency.h"
 #include "guard/guard.h"
 #include "obs/profile.h"
@@ -69,10 +68,9 @@ CheckResult CheckFd(const FunctionalDependency& fd,
 
 struct BatchCheckOptions {
   CheckOptions check;
-  // <= 1: serial, in document order (the reference path). When `pool` is
-  // set it is used as-is and `jobs` is ignored.
+  // Threads, the calling thread included; <= 1: serial, in document
+  // order (the reference path).
   int jobs = 1;
-  exec::ThreadPool* pool = nullptr;
   // When non-null, resized to docs.size(); slot i receives document i's
   // QueryProfile (overrides check.profile, which applies per item).
   std::vector<obs::QueryProfile>* profiles = nullptr;

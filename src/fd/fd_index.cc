@@ -1,7 +1,6 @@
 #include "fd/fd_index.h"
 
 #include <algorithm>
-#include <optional>
 #include <set>
 
 #include "common/hashing.h"
@@ -42,27 +41,6 @@ FdIndex FdIndex::Build(const FunctionalDependency& fd,
   index.Recompute(doc_index, {}, /*restrict_contexts=*/false);
   index.RefreshVerdict();
   return index;
-}
-
-std::vector<FdIndex> FdIndex::BuildMany(
-    const FunctionalDependency& fd,
-    const std::vector<const Document*>& docs, int jobs,
-    exec::ThreadPool* pool) {
-  std::optional<exec::ThreadPool> owned_pool;
-  if (pool == nullptr && jobs > 1) {
-    owned_pool.emplace(jobs);
-    pool = &*owned_pool;
-  }
-  std::vector<std::optional<FdIndex>> built(docs.size());
-  exec::ParallelFor(pool, docs.size(), [&](size_t i) {
-    built[i] = Build(fd, *docs[i]);
-  });
-  std::vector<FdIndex> results;
-  results.reserve(docs.size());
-  for (std::optional<FdIndex>& index : built) {
-    results.push_back(std::move(*index));
-  }
-  return results;
 }
 
 void FdIndex::Recompute(const xml::DocIndex& doc_index,

@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "exec/thread_pool.h"
 #include "fd/fd_checker.h"
 #include "fd/functional_dependency.h"
 #include "xml/doc_index.h"
@@ -39,14 +38,6 @@ class FdIndex {
                        const xml::Document& doc);
   static FdIndex Build(const FunctionalDependency& fd,
                        const xml::DocIndex& index);
-
-  // Builds one index per document, one pool task per document (`jobs` as
-  // in fd::BatchCheckOptions). Results are indexed like `docs` and
-  // identical to serial Build calls; `docs` must not repeat a Document.
-  static std::vector<FdIndex> BuildMany(
-      const FunctionalDependency& fd,
-      const std::vector<const xml::Document*>& docs, int jobs = 1,
-      exec::ThreadPool* pool = nullptr);
 
   // Whether the indexed document satisfied the FD at build/last-revalidate
   // time.

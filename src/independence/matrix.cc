@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "exec/parallel_for.h"
 #include "guard/guard.h"
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
@@ -111,18 +112,11 @@ StatusOr<IndependenceMatrix> ComputeIndependenceMatrix(
     }
   }
 
-  exec::ThreadPool* pool = options.pool;
-  std::optional<exec::ThreadPool> owned_pool;
-  if (pool == nullptr && options.jobs > 1) {
-    owned_pool.emplace(options.jobs);
-    pool = &*owned_pool;
-  }
-
   // One task per (fd, class) pair, each writing its pre-assigned row-major
   // slot; statuses are merged afterwards in pair order, so the verdicts
   // and the reported error do not depend on the schedule.
   std::vector<Status> statuses(num_pairs);
-  exec::ParallelFor(pool, num_pairs, [&](size_t pair) {
+  exec::ParallelFor(options.jobs, num_pairs, [&](size_t pair) {
     size_t f = pair / classes.size();
     size_t c = pair % classes.size();
     obs::QueryProfile* cell_profile =

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "exec/automaton_cache.h"
-#include "exec/thread_pool.h"
 #include "independence/criterion.h"
 #include "obs/profile.h"
 
@@ -48,11 +47,9 @@ struct IndependenceMatrix {
 };
 
 struct MatrixOptions {
-  // Number of worker threads for the pair checks. <= 1 runs serially on
-  // the calling thread (the reference path); 0 is treated as 1. When
-  // `pool` is set, it is used as-is and `jobs` is ignored.
+  // Threads for the pair checks, the calling thread included. <= 1 runs
+  // serially on the calling thread (the reference path).
   int jobs = 1;
-  exec::ThreadPool* pool = nullptr;
 
   // Shared compile cache: each FD / update-class automaton is built once
   // and reused across all pairs (and across matrices sharing the cache).

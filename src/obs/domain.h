@@ -13,8 +13,8 @@
 // *attributes* work, the registry totals stay exact.
 //
 // Threading model: a domain is single-threaded. It captures only on the
-// thread that installed it. For pool fan-out (rtp::exec), install one
-// domain per work item inside the worker lambda — exactly like
+// thread that installed it. For an exec::ParallelFor batch, install one
+// domain per work item inside the ParallelFor lambda — exactly like
 // guard::GuardContext — and the per-item deltas sum to the registry
 // delta for the batch.
 //

@@ -3,12 +3,13 @@
 
 // Structured logging — leveled, dependency-free JSON lines.
 //
-//   RTP_LOG(WARN) << "task threw: " << what;
+//   RTP_LOG(WARN) << "automaton cache build failed; entry dropped for retry";
 //
 // emits one line to the configured sink (stderr by default):
 //
-//   {"ts_ms":1723100000123,"level":"warn","file":"thread_pool.cc",
-//    "line":87,"msg":"task threw: ...","suppressed":0}
+//   {"ts_ms":1723100000123,"level":"warn","file":"automaton_cache.h",
+//    "line":82,"msg":"automaton cache build failed; entry dropped for retry",
+//    "suppressed":0}
 //
 // Properties:
 //   - Off by default: the minimum level is kOff unless overridden by

@@ -1,10 +1,10 @@
 #include "pattern/evaluator.h"
 
 #include <algorithm>
-#include <optional>
 #include <unordered_set>
 
 #include "common/hashing.h"
+#include "exec/parallel_for.h"
 #include "guard/failpoints.h"
 #include "obs/scoped_timer.h"
 #include "obs/trace.h"
@@ -226,10 +226,9 @@ std::vector<std::vector<NodeId>> EvaluateSelected(const TreePattern& pattern,
 
 std::vector<std::vector<std::vector<NodeId>>> EvaluateSelectedBatch(
     const TreePattern& pattern, const std::vector<const Document*>& docs,
-    int jobs, exec::ThreadPool* pool) {
+    int jobs) {
   EvalBatchOptions options;
   options.jobs = jobs;
-  options.pool = pool;
   return EvaluateSelectedBatch(pattern, docs, options, nullptr);
 }
 
@@ -237,32 +236,26 @@ std::vector<std::vector<std::vector<NodeId>>> EvaluateSelectedBatch(
     const TreePattern& pattern, const std::vector<const Document*>& docs,
     const EvalBatchOptions& options, std::vector<Status>* statuses) {
   RTP_OBS_COUNT("pattern.eval.batches");
-  exec::ThreadPool* pool = options.pool;
-  std::optional<exec::ThreadPool> owned_pool;
-  if (pool == nullptr && options.jobs > 1) {
-    owned_pool.emplace(options.jobs);
-    pool = &*owned_pool;
-  }
   if (statuses != nullptr) statuses->assign(docs.size(), Status::OK());
   if (options.profiles != nullptr) {
     options.profiles->assign(docs.size(), obs::QueryProfile());
   }
   const bool guarded = options.budget.Limited() || options.cancel != nullptr;
   std::vector<std::vector<std::vector<NodeId>>> results(docs.size());
-  exec::ParallelFor(pool, docs.size(), [&](size_t i) {
+  exec::ParallelFor(options.jobs, docs.size(), [&](size_t i) {
     obs::QueryProfile* item_profile =
         options.profiles == nullptr ? nullptr : &(*options.profiles)[i];
     if (!guarded) {
       results[i] = EvaluateSelected(pattern, *docs[i], item_profile);
       return;
     }
-    // Pool workers do not inherit the caller's thread-local guard; each
+    // Helper threads do not inherit the caller's thread-local guard; each
     // document gets its own context so one runaway item trips alone.
     if (options.cancel != nullptr && options.cancel->cancelled()) {
       if (statuses != nullptr) {
         (*statuses)[i] = CancelledError("cancelled before evaluation");
       }
-      return;  // quick-skip lets the pool drain without touching the doc
+      return;  // quick-skip drains the batch without touching the doc
     }
     guard::GuardContext ctx(options.budget, options.cancel);
     guard::ScopedGuard scope(&ctx);

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "exec/thread_pool.h"
 #include "guard/guard.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -168,14 +167,14 @@ std::vector<std::vector<xml::NodeId>> EvaluateSelected(
     const TreePattern& pattern, const xml::DocIndex& index,
     obs::QueryProfile* profile);
 
-// Evaluates one pattern against many documents, one pool task per
-// document (`jobs` <= 1 runs serially; a non-null `pool` overrides
-// `jobs`). Results are indexed like `docs` and bit-identical to serial
+// Evaluates one pattern against many documents on at most `jobs`
+// threads, the calling thread included (`jobs` <= 1 runs serially).
+// Results are indexed like `docs` and bit-identical to serial
 // EvaluateSelected calls for every jobs value. `docs` must not repeat a
 // Document (its lazy preorder index is not internally synchronized).
 std::vector<std::vector<std::vector<xml::NodeId>>> EvaluateSelectedBatch(
     const TreePattern& pattern, const std::vector<const xml::Document*>& docs,
-    int jobs = 1, exec::ThreadPool* pool = nullptr);
+    int jobs = 1);
 
 // Options for the guarded batch overload. The budget applies per document
 // (deadline measured from that document's start), so one pathological
@@ -183,12 +182,11 @@ std::vector<std::vector<std::vector<xml::NodeId>>> EvaluateSelectedBatch(
 // token is shared, so cancelling drains the whole batch quickly.
 struct EvalBatchOptions {
   int jobs = 1;
-  exec::ThreadPool* pool = nullptr;  // non-null overrides `jobs`
-  guard::ExecutionBudget budget;     // per document; default unlimited
+  guard::ExecutionBudget budget;  // per document; default unlimited
   guard::CancelToken* cancel = nullptr;
   // When non-null, resized to docs.size(); slot i receives document i's
-  // QueryProfile (captured on the worker that evaluated it, so batch
-  // items are individually attributed even under pool fan-out).
+  // QueryProfile (captured on the thread that evaluated it, so batch
+  // items are individually attributed at any jobs value).
   std::vector<obs::QueryProfile>* profiles = nullptr;
 };
 

@@ -290,8 +290,7 @@ void SerializeTo(const JsonValue& v, std::string* out) {
       break;
     case JsonValue::Kind::kNumber: {
       double d = v.number_value();
-      if (std::isfinite(d) && d == std::floor(d) &&
-          std::abs(d) < 9.007199254740992e15) {
+      if (v.is_int()) {
         // Integral within the double-exact range: render without a point.
         char buf[32];
         std::snprintf(buf, sizeof(buf), "%lld",
@@ -380,9 +379,15 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
   return nullptr;
 }
 
+bool JsonValue::is_int() const {
+  constexpr double kMaxExactInt = 9007199254740992.0;  // 2^53
+  return kind_ == Kind::kNumber && std::isfinite(number_) &&
+         number_ == std::floor(number_) && std::abs(number_) <= kMaxExactInt;
+}
+
 int64_t JsonValue::FindInt(std::string_view key, int64_t def) const {
   const JsonValue* v = Find(key);
-  return (v != nullptr && v->is_number()) ? v->int_value() : def;
+  return (v != nullptr && v->is_int()) ? v->int_value() : def;
 }
 
 bool JsonValue::FindBool(std::string_view key, bool def) const {

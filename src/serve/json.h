@@ -92,7 +92,12 @@ class JsonValue {
   bool is_array() const { return kind_ == Kind::kArray; }
   bool is_object() const { return kind_ == Kind::kObject; }
 
-  // Typed accessors; the value must hold the matching kind.
+  // A finite, integral number of magnitude at most 2^53: the integers a
+  // double holds exactly, and the only numbers int_value() may convert.
+  bool is_int() const;
+
+  // Typed accessors; the value must hold the matching kind (is_int() for
+  // int_value(): any other double is outside int64_t or not an integer).
   bool bool_value() const { return bool_; }
   double number_value() const { return number_; }
   int64_t int_value() const { return static_cast<int64_t>(number_); }
@@ -119,7 +124,8 @@ class JsonValue {
   const JsonValue* Find(std::string_view key) const;
 
   // Convenience typed lookups with defaults (missing key / wrong kind
-  // yield the default — the decoder validates kinds where it matters).
+  // yield the default, as does a number that is not is_int() for FindInt
+  // — the decoder validates kinds where it matters).
   int64_t FindInt(std::string_view key, int64_t def = 0) const;
   bool FindBool(std::string_view key, bool def = false) const;
   std::string FindString(std::string_view key,

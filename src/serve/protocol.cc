@@ -27,7 +27,7 @@ Status DecodeBudgetField(const JsonValue& budget, std::string_view key,
                          int64_t* out) {
   const JsonValue* v = budget.Find(key);
   if (v == nullptr) return Status::OK();
-  if (!v->is_number() || v->int_value() < 0) {
+  if (!v->is_int() || v->int_value() < 0) {
     return InvalidArgumentError("budget field '" + std::string(key) +
                                 "' must be a nonnegative integer");
   }
@@ -71,13 +71,12 @@ StatusOr<Request> DecodeRequest(const JsonValue& json) {
   }
   Request req;
   const JsonValue* id = json.Find("id");
-  if (id == nullptr || !id->is_number()) {
+  if (id == nullptr || !id->is_int()) {
     return InvalidArgumentError("request requires an integer 'id'");
   }
   req.id = id->int_value();
   if (const JsonValue* v = json.Find("v")) {
-    if (!v->is_number() ||
-        v->int_value() != kProtocolSchemaVersion) {
+    if (!v->is_int() || v->int_value() != kProtocolSchemaVersion) {
       return InvalidArgumentError(
           "unsupported protocol version (server speaks v" +
           std::to_string(kProtocolSchemaVersion) + ")");

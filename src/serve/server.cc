@@ -95,8 +95,6 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {}
 StatusOr<std::unique_ptr<Server>> Server::Start(const ServerOptions& options) {
   std::unique_ptr<Server> server(new Server(options));
   RTP_RETURN_IF_ERROR(server->Listen());
-  server->pool_ =
-      std::make_unique<exec::ThreadPool>(std::max(1, options.jobs));
   server->accept_thread_ = std::thread(&Server::AcceptLoop, server.get());
   RTP_LOG(INFO) << "rtpd listening on " << options.socket_path << " ("
                 << std::max(1, options.jobs) << " workers)";
@@ -180,7 +178,6 @@ void Server::Stop() {
     if (conn->thread.joinable()) conn->thread.join();
     ::close(conn->fd);
   }
-  pool_.reset();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -756,7 +753,6 @@ JsonValue Server::HandleMatrix(Tenant& tenant, const Request& req,
   {
     std::shared_lock<std::shared_mutex> lock(tenant.mu);
     independence::MatrixOptions options;
-    options.pool = pool_.get();
     if (budget.Limited()) {
       // Budgeted: per-pair guards, per-cell degradation, and the shared
       // cancel token. The criterion bypasses the shared AutomatonCache

@@ -7,12 +7,13 @@
 // line-delimited JSON protocol of serve/protocol.h. Architecture:
 //
 //   * One accept thread plus one thread per connection. A connection
-//     thread decodes each request and runs it itself. The heavy ops
-//     (load, eval, checkfd, matrix) first pass a counting admission gate:
-//     at most `jobs` execute at once, up to `queue_capacity` more wait on
-//     one condition variable, and any request beyond that is shed with a
-//     RESOURCE_EXHAUSTED response. The shared rtp::exec::ThreadPool only
-//     fans a matrix's cells out, next to the connection thread.
+//     thread decodes each request and runs it itself, a matrix's cells
+//     included. The heavy ops (load, eval, checkfd, matrix) first pass a
+//     counting admission gate: at most `jobs` execute at once, up to
+//     `queue_capacity` more wait on one condition variable, and any
+//     request beyond that is shed with a RESOURCE_EXHAUSTED response. The
+//     gate is the server's only concurrency control, so at most `jobs`
+//     threads run engine code.
 //   * State lives in a TenantRegistry (serve/corpus.h): per-tenant
 //     alphabet + named pre-indexed documents, exclusive-locked for parse
 //     phases and shared-locked for evaluation, so one tenant's load never
@@ -49,7 +50,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "exec/thread_pool.h"
 #include "guard/guard.h"
 #include "serve/corpus.h"
 #include "serve/protocol.h"
@@ -60,8 +60,9 @@ struct ServerOptions {
   // Filesystem path of the AF_UNIX socket. A stale socket file from a
   // previous run is replaced.
   std::string socket_path;
-  // Heavy ops (load, eval, checkfd, matrix) that may execute at once, and
-  // the worker threads a matrix fans its cells out to.
+  // Heavy ops (load, eval, checkfd, matrix) that may execute at once,
+  // each on its own connection thread: at most this many threads run
+  // engine code.
   int jobs = 2;
   // Heavy ops that may wait at the admission gate while `jobs` execute;
   // the gate sheds any request beyond that. 0 is the degenerate
@@ -160,7 +161,6 @@ class Server {
   // Self-pipe that wakes the accept loop's poll on Stop().
   int wake_pipe_[2] = {-1, -1};
 
-  std::unique_ptr<exec::ThreadPool> pool_;  // a matrix's cell fan-out
   TenantRegistry tenants_;
 
   std::mutex gate_mu_;

@@ -54,8 +54,7 @@ Status CheckKeys(const JsonValue& obj, const std::string& what,
 
 StatusOr<int64_t> RequireNonNegativeInt(const JsonValue& v,
                                         const std::string& what) {
-  if (!v.is_number() || v.number_value() < 0 ||
-      v.number_value() != static_cast<double>(v.int_value())) {
+  if (!v.is_int() || v.int_value() < 0) {
     return InvalidArgumentError(what + " must be a nonnegative integer");
   }
   return v.int_value();

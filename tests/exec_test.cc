@@ -1,22 +1,27 @@
-// Concurrency tests for the rtp::exec engine: ThreadPool scheduling,
-// ParallelFor coverage and error propagation, and the build-once contract
-// of AutomatonCache. These run under -DRTP_SANITIZE=thread in CI (the
-// `exec` ctest label), so every test doubles as a data-race probe: keep
-// iteration counts small but contention real.
+// Concurrency tests for the rtp::exec engine: ParallelFor's fork-join
+// contract (inline at jobs=1, at most `jobs` threads counting the caller,
+// every index once, lowest failing index rethrown after every call) and
+// the build-once contract of AutomatonCache. These run under
+// -DRTP_SANITIZE=thread in CI (the `exec` ctest label), so every test
+// doubles as a data-race probe: keep iteration counts small but
+// contention real.
 
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "automata/pattern_compiler.h"
 #include "exec/automaton_cache.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "obs/metrics.h"
 #include "workload/paper_patterns.h"
 
@@ -27,57 +32,29 @@ uint64_t CounterValue(const char* name) {
   return obs::Registry().FindOrCreateCounter(name)->value();
 }
 
-TEST(ThreadPoolTest, ExecutesSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Drain();
-  EXPECT_EQ(count.load(), 100);
-  EXPECT_EQ(pool.tasks_executed(), 100u);
-}
+TEST(ParallelForTest, DefaultJobsIsPositive) { EXPECT_GE(DefaultJobs(), 1); }
 
-TEST(ThreadPoolTest, DestructorDrainsQueuedWork) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-    // No Drain: the destructor must run everything already queued.
-  }
-  EXPECT_EQ(count.load(), 64);
-}
-
-TEST(ThreadPoolTest, TaskExceptionDoesNotWedgePool) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.Submit([] { throw std::runtime_error("boom"); });
-  pool.Drain();
-  // The pool is still functional afterwards.
-  for (int i = 0; i < 16; ++i) {
-    pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Drain();
-  EXPECT_EQ(count.load(), 16);
-}
-
-TEST(ThreadPoolTest, DefaultJobsIsPositive) {
-  EXPECT_GE(ThreadPool::DefaultJobs(), 1);
-}
-
+// When min(jobs, n) is 1 no thread starts: the calls run on the caller,
+// in index order.
 TEST(ParallelForTest, NullPoolRunsInlineInIndexOrder) {
-  std::vector<size_t> order;
-  ParallelFor(nullptr, 5, [&order](size_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+  const std::thread::id caller = std::this_thread::get_id();
+  for (auto [jobs, n] : {std::pair{1, size_t{5}}, std::pair{0, size_t{5}},
+                         std::pair{8, size_t{1}}}) {
+    std::vector<size_t> order;
+    ParallelFor(jobs, n, [&](size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    });
+    std::vector<size_t> expected(n);
+    for (size_t i = 0; i < n; ++i) expected[i] = i;
+    EXPECT_EQ(order, expected) << "jobs=" << jobs << " n=" << n;
+  }
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
   constexpr size_t kN = 1000;
   std::vector<std::atomic<int>> hits(kN);
-  ParallelFor(&pool, kN, [&hits](size_t i) {
+  ParallelFor(4, kN, [&hits](size_t i) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (size_t i = 0; i < kN; ++i) {
@@ -85,35 +62,64 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   }
 }
 
-TEST(ParallelForTest, ZeroIterationsIsANoOp) {
-  ThreadPool pool(2);
-  ParallelFor(&pool, 0, [](size_t) { FAIL() << "must not be called"; });
+// `jobs` counts the calling thread: a jobs=3 call starts two helpers and
+// counts each in exec.pool.tasks_executed.
+TEST(ParallelForTest, AtMostJobsThreadsTakePart) {
+  constexpr int kJobs = 3;
+  uint64_t calls_before = CounterValue("exec.pool.parallel_for.calls");
+  uint64_t helpers_before = CounterValue("exec.pool.tasks_executed");
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  ParallelFor(kJobs, 64, [&](size_t) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    std::lock_guard<std::mutex> lock(mu);
+    threads.insert(std::this_thread::get_id());
+  });
+  EXPECT_GE(threads.size(), 1u);
+  EXPECT_LE(threads.size(), static_cast<size_t>(kJobs));
+#ifndef RTP_OBS_DISABLED
+  EXPECT_EQ(CounterValue("exec.pool.parallel_for.calls") - calls_before, 1u);
+  EXPECT_EQ(CounterValue("exec.pool.tasks_executed") - helpers_before,
+            static_cast<uint64_t>(kJobs - 1));
+#else
+  (void)calls_before;
+  (void)helpers_before;
+#endif
 }
 
+TEST(ParallelForTest, ZeroIterationsIsANoOp) {
+  ParallelFor(2, 0, [](size_t) { FAIL() << "must not be called"; });
+}
+
+// Every call runs although some throw, and the exception of the lowest
+// failing index comes back, at any jobs value; a later call is unaffected.
 TEST(ParallelForTest, RethrowsLowestFailingChunkAndPoolSurvives) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      ParallelFor(&pool, 100,
-                  [](size_t i) {
-                    if (i % 10 == 3) throw std::runtime_error("boom");
-                  }),
-      std::runtime_error);
-  // The pool is not wedged: a subsequent ParallelFor completes.
+  for (int jobs : {1, 4}) {
+    std::atomic<int> ran{0};
+    try {
+      ParallelFor(jobs, 100, [&ran](size_t i) {
+        ran.fetch_add(1, std::memory_order_relaxed);
+        if (i % 10 == 3) throw std::runtime_error(std::to_string(i));
+      });
+      ADD_FAILURE() << "jobs=" << jobs << ": nothing was rethrown";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "3") << "jobs=" << jobs;
+    }
+    EXPECT_EQ(ran.load(), 100) << "jobs=" << jobs;
+  }
   std::atomic<int> count{0};
-  ParallelFor(&pool, 50, [&count](size_t) {
+  ParallelFor(4, 50, [&count](size_t) {
     count.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(count.load(), 50);
 }
 
 TEST(ParallelForTest, NestedCallFromWorkerDoesNotDeadlock) {
-  ThreadPool pool(2);
   std::atomic<int> inner{0};
-  // Outer iterations run on workers; each runs an inner ParallelFor on the
-  // same (already busy) pool. The chunk-claiming design lets the worker
-  // execute the inner chunks itself, so this must terminate.
-  ParallelFor(&pool, 4, [&pool, &inner](size_t) {
-    ParallelFor(&pool, 8, [&inner](size_t) {
+  // Outer iterations run on helper threads too; each inner call starts
+  // helpers of its own, so this must terminate.
+  ParallelFor(2, 4, [&inner](size_t) {
+    ParallelFor(2, 8, [&inner](size_t) {
       inner.fetch_add(1, std::memory_order_relaxed);
     });
   });

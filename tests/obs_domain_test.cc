@@ -1,9 +1,9 @@
 // Request-scoped metric attribution: MetricDomain capture/flush
 // semantics, ProfileScope phase + counter capture, and the concurrency
-// contract that per-item profiles from a pool fan-out sum exactly to the
-// registry delta for the whole batch. Lives in the `exec`-labeled binary
-// so the TSan CI leg exercises the domain install/flush paths under real
-// thread-pool fan-out.
+// contract that per-item profiles from a ParallelFor batch sum exactly to
+// the registry delta for the whole batch. Lives in the `exec`-labeled
+// binary so the TSan CI leg exercises the domain install/flush paths on
+// real helper threads.
 
 #include <algorithm>
 #include <cstdint>
@@ -221,8 +221,9 @@ TEST(ProfileScopeTest, GuardedCheckReportsBudgetConsumption) {
 // ---------------------------------------------------------------------------
 // Concurrent attribution: per-item profiles from a jobs=8 batch sum
 // exactly to the registry delta for every counter recorded inside the
-// per-item scopes (the pipeline prefixes below; pool bookkeeping like
-// exec.pool.* is recorded outside the item scopes by design).
+// per-item scopes (the pipeline prefixes below; ParallelFor's own
+// exec.pool.* counters are recorded by the calling thread, outside the
+// item scopes, by design).
 
 std::map<std::string, uint64_t> SumProfileCounters(
     const std::vector<QueryProfile>& profiles,
@@ -247,7 +248,7 @@ std::map<std::string, uint64_t> RegistryDeltaFor(
   for (const auto& [name, value] : delta.counters) {
     if (value == 0) continue;
     // *.batches counts the batch call itself and is recorded outside the
-    // per-item scopes, like the pool bookkeeping.
+    // per-item scopes, like ParallelFor's exec.pool.* counters.
     if (name.size() >= 8 && name.rfind(".batches") == name.size() - 8) {
       continue;
     }

@@ -12,9 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/automaton_cache.h"
-#include "exec/thread_pool.h"
 #include "fd/fd_checker.h"
-#include "fd/fd_index.h"
 #include "fd/functional_dependency.h"
 #include "fd/reference_checker.h"
 #include "independence/matrix.h"
@@ -337,42 +335,6 @@ TEST(DenseKernelDifferentialTest, DocAndIndexAndBatchMatchReference) {
     for (int jobs : kJobs) {
       auto batch = pattern::EvaluateSelectedBatch(pattern, ptrs, jobs);
       EXPECT_EQ(batch, serial) << "seed=" << seed << " jobs=" << jobs;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// FdIndex::BuildMany: same groups as one-at-a-time construction.
-
-TEST(ParallelFdIndexTest, BuildManyMatchesSingleBuilds) {
-  Alphabet alphabet;
-  auto fd = fd::FunctionalDependency::FromParsed(workload::PaperFd1(&alphabet));
-  ASSERT_TRUE(fd.ok());
-
-  std::vector<xml::Document> docs;
-  for (uint64_t seed = 11; seed <= 14; ++seed) {
-    workload::ExamWorkloadParams params;
-    params.num_candidates = 5;
-    params.exams_per_candidate = 2;
-    params.seed = seed;
-    docs.push_back(workload::GenerateExamDocument(&alphabet, params));
-  }
-  std::vector<const xml::Document*> ptrs;
-  for (const auto& doc : docs) ptrs.push_back(&doc);
-
-  for (int jobs : kJobs) {
-    std::vector<fd::FdIndex> indexes =
-        fd::FdIndex::BuildMany(fd.value(), ptrs, jobs);
-    ASSERT_EQ(indexes.size(), docs.size());
-    for (size_t i = 0; i < docs.size(); ++i) {
-      fd::FdIndex single = fd::FdIndex::Build(fd.value(), docs[i]);
-      EXPECT_EQ(indexes[i].satisfied(), single.satisfied())
-          << "jobs=" << jobs << " doc=" << i;
-      EXPECT_EQ(indexes[i].last_pass_mappings(), single.last_pass_mappings())
-          << "jobs=" << jobs << " doc=" << i;
-      EXPECT_EQ(indexes[i].supports_incremental(),
-                single.supports_incremental())
-          << "jobs=" << jobs << " doc=" << i;
     }
   }
 }

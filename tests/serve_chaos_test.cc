@@ -424,7 +424,7 @@ TEST(OverloadTest, AlwaysShedServerYieldsResourceExhaustedWithHint) {
   // (and shed again) before the error surfaced.
   EXPECT_EQ(client.retries(), retries_before + 1);
 
-  // stats runs on the connection thread, not the pool: still answered.
+  // stats skips the admission gate: still answered.
   auto stats = client.Stats();
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   ts.server->Stop();

@@ -467,6 +467,10 @@ TEST(ServeTest, MalformedRequestsGetStructuredErrors) {
       "{\"id\":7,\"v\":1,\"op\":\"eval\",\"tenant\":\"../etc\"}",
       "{\"id\":7,\"v\":1,\"op\":\"eval\",\"tenant\":\"t\",\"doc\":42}",
       "{\"id\":7,\"v\":1,\"op\":\"load\",\"budget\":\"lots\"}",
+      // Numbers that are no int64_t id or budget: out of range, fractional.
+      "{\"id\":1e300,\"op\":\"stats\"}",
+      "{\"id\":1.5,\"op\":\"stats\"}",
+      "{\"id\":7,\"op\":\"load\",\"budget\":{\"deadline_ms\":1e300}}",
   };
   // Reuse the fuzz byte generator for adversarial garbage; newlines would
   // split into several frames, so strip them (each line is one request).
@@ -588,6 +592,37 @@ TEST(ServeTest, ShutdownIsAcknowledgedBeforeTheServerStops) {
   // After Stop() the socket is gone: new connections are refused.
   auto late_or = Client::Connect(ts.socket_path);
   EXPECT_FALSE(late_or.ok());
+}
+
+// A served matrix runs its cells on its connection thread: the admission
+// gate alone bounds rtpd's engine threads to `jobs`, so no ParallelFor
+// fans a served request out.
+TEST(ServeTest, ServedMatrixRunsOnItsConnectionThread) {
+#ifdef RTP_OBS_DISABLED
+  GTEST_SKIP() << "RTP_OBS_DISABLED: exec.pool.* counters compiled out";
+#endif
+  ServerOptions options;
+  options.jobs = 4;
+  TestServer ts = StartTestServer(options);
+  ASSERT_NE(ts.server, nullptr);
+  Client client = ConnectOrDie(ts.socket_path);
+
+  const std::string fd1 = ReadFileOrDie(DataPath("fd1.fd"));
+  const std::string fd5 = ReadFileOrDie(DataPath("fd5.fd"));
+  const std::string update_u = ReadFileOrDie(DataPath("update_u.pattern"));
+  const std::string update_address =
+      "root { session/candidate { s = address; } } select s;";
+  ASSERT_TRUE(client.Load("alpha", "exam", ReadFileOrDie(ExamXmlPath())).ok());
+  obs::Counter* calls =
+      obs::Registry().FindOrCreateCounter("exec.pool.parallel_for.calls");
+  const uint64_t calls_before = calls->value();
+  auto matrix_or =
+      client.Matrix("alpha", {fd1, fd5}, {update_u, update_address});
+  ASSERT_TRUE(matrix_or.ok()) << matrix_or.status().ToString();
+  EXPECT_EQ(matrix_or->cells.size(), 4u);
+  EXPECT_EQ(calls->value(), calls_before);
+
+  ts.server->Stop();
 }
 
 TEST(ServeTest, ProfiledRequestsCarryAProfileField) {

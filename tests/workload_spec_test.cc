@@ -154,6 +154,20 @@ TEST(WorkloadSpecTest, LoopNeedsExactlyOneOfCountAndDuration) {
   EXPECT_NE(both.status().message().find("exactly one"), std::string::npos);
 }
 
+TEST(WorkloadSpecTest, LoopCountMustBeANonnegativeInteger) {
+  for (const char* count : {"1e300", "1.5", "-1"}) {
+    auto spec = ParseWorkloadSpec(
+        std::string(R"({"name": "x", "root": "a", "nodes": {)") +
+        R"("a": {"op": "loop", "count": )" + count + R"(, "body": "b"},)" +
+        R"("b": {"op": "stats"}}})");
+    ASSERT_FALSE(spec.ok()) << count;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << count;
+    EXPECT_NE(spec.status().message().find("must be a nonnegative integer"),
+              std::string::npos)
+        << count << ": " << spec.status().ToString();
+  }
+}
+
 TEST(WorkloadSpecTest, WeightsMustMatchChildren) {
   auto spec = ParseWorkloadSpec(R"({
     "name": "x", "root": "a",

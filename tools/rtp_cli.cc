@@ -32,10 +32,11 @@
 //                        settable via RTP_LOG_LEVEL).
 //   --trace-out=<file>   record phase spans and write chrome://tracing
 //                        JSON to <file>.
-//   --jobs=N             worker threads for the batch subcommands (matrix,
-//                        multi-document checkfd/eval); 0 means "one per
-//                        hardware thread". Results are byte-identical for
-//                        every N (default 1: serial).
+//   --jobs=N             run the batch subcommands (matrix,
+//                        multi-document checkfd/eval) on at most N
+//                        threads, the main thread included; 0 means "one
+//                        per hardware thread". Results are byte-identical
+//                        for every N (default 1: serial).
 //   --deadline-ms=N      wall-clock budget (see src/guard). Batch
 //                        subcommands apply it per work item (per document
 //                        for checkfd/eval, per pair for matrix) and
@@ -77,7 +78,7 @@
 #include <vector>
 
 #include "exec/automaton_cache.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "fd/fd_checker.h"
 #include "guard/guard.h"
 #include "independence/criterion.h"
@@ -129,8 +130,8 @@ int Usage(const char* detail = nullptr) {
                "(debug|info|warn|error|off)\n"
                "       --trace-out=<file> write chrome://tracing phase "
                "spans\n"
-               "       --jobs=N           worker threads for batch "
-               "subcommands (0 = hardware)\n"
+               "       --jobs=N           run batch subcommands on at "
+               "most N threads (0 = hardware)\n"
                "       --deadline-ms=N    wall-clock budget (per work item "
                "for batch subcommands)\n"
                "       --max-states=N     automaton-state quota per "
@@ -779,8 +780,7 @@ int main(int argc, char** argv) {
       if (value.empty() || *end != '\0' || parsed < 0 || parsed > 1024) {
         return Usage("--jobs requires an integer in [0, 1024]");
       }
-      run.jobs = parsed == 0 ? exec::ThreadPool::DefaultJobs()
-                             : static_cast<int>(parsed);
+      run.jobs = parsed == 0 ? exec::DefaultJobs() : static_cast<int>(parsed);
       in_process_flag = "--jobs";
     } else if (arg.rfind("--deadline-ms=", 0) == 0) {
       budget.deadline_ms = ParseCountFlag(arg, "--deadline-ms=");

@@ -26,7 +26,7 @@
 #include <cstring>
 #include <string>
 
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "obs/log.h"
 #include "serve/server.h"
 
@@ -41,7 +41,7 @@ int Usage(const char* detail = nullptr) {
   std::fprintf(stderr,
                "usage: rtpd --socket=PATH [flags]\n"
                "flags: --jobs=N            heavy requests executing at "
-               "once (default 2, 0 = hardware)\n"
+               "once, on at most N threads (default 2, 0 = hardware)\n"
                "       --queue-capacity=N  heavy requests waiting for a "
                "slot before sheds (default 1024)\n"
                "       --max-line-bytes=N  request line size cap "
@@ -94,8 +94,8 @@ int main(int argc, char** argv) {
       if (jobs < 0 || jobs > 1024) {
         return Usage("--jobs requires an integer in [0, 1024]");
       }
-      options.jobs = jobs == 0 ? rtp::exec::ThreadPool::DefaultJobs()
-                               : static_cast<int>(jobs);
+      options.jobs =
+          jobs == 0 ? rtp::exec::DefaultJobs() : static_cast<int>(jobs);
     } else if (std::strncmp(arg, "--queue-capacity=", 17) == 0) {
       int64_t cap = ParseCountFlag(arg, "--queue-capacity=");
       if (cap <= 0) return Usage("--queue-capacity requires a positive integer");

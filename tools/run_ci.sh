@@ -108,8 +108,12 @@ run_leg() {
   echo "==== [$name] build" >&2
   cmake --build "$build_dir" -j "$jobs"
   echo "==== [$name] ctest $ctest_args" >&2
+  # ctest_args is split on spaces and passed without quote removal, so it
+  # must hold no quotes; --no-tests=error fails a filter that matches
+  # nothing instead of passing it.
   # shellcheck disable=SC2086  # ctest_args is a deliberate word list
-  (cd "$build_dir" && ctest --output-on-failure -j "$jobs" $ctest_args)
+  (cd "$build_dir" &&
+    ctest --output-on-failure --no-tests=error -j "$jobs" $ctest_args)
 }
 
 run_perf() {
@@ -310,7 +314,7 @@ run_format() {
 case "$leg" in
   plain)      run_leg plain      ""                  "" ;;
   asan-ubsan) run_leg asan-ubsan "address,undefined" "" ;;
-  tsan)       run_leg tsan       "thread"            "-L 'exec|serve'" ;;
+  tsan)       run_leg tsan       "thread"            "-L exec|serve" ;;
   obs-off)    run_leg obs-off    ""                  "" "-DRTP_OBS_DISABLED=ON" ;;
   perf)       run_perf ;;
   fuzz)       run_fuzz ;;
@@ -322,7 +326,7 @@ case "$leg" in
     run_format
     run_leg plain      ""                  ""
     run_leg asan-ubsan "address,undefined" ""
-    run_leg tsan       "thread"            "-L 'exec|serve'"
+    run_leg tsan       "thread"            "-L exec|serve"
     run_leg obs-off    ""                  "" "-DRTP_OBS_DISABLED=ON"
     run_serve
     run_load
