@@ -25,25 +25,10 @@
 #include <string>
 #include <vector>
 
+#include "common/json_string.h"
 #include "obs/metrics.h"
 
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 // Console output plus one JSON line per iteration run.
 class JsonLineReporter : public benchmark::ConsoleReporter {
@@ -56,8 +41,8 @@ class JsonLineReporter : public benchmark::ConsoleReporter {
       if (run.run_type != Run::RT_Iteration) continue;
       if (run.report_big_o || run.report_rms) continue;
       if (run.error_occurred) continue;
-      *json_out_ << "{\"bench\":\"" << JsonEscape(run.benchmark_name())
-                 << "\",\"iterations\":" << run.iterations
+      *json_out_ << "{\"bench\":" << rtp::JsonString(run.benchmark_name())
+                 << ",\"iterations\":" << run.iterations
                  << ",\"real_time\":" << run.GetAdjustedRealTime()
                  << ",\"cpu_time\":" << run.GetAdjustedCPUTime()
                  << ",\"time_unit\":\""
@@ -67,7 +52,7 @@ class JsonLineReporter : public benchmark::ConsoleReporter {
       for (const auto& [name, counter] : run.counters) {
         if (!first) *json_out_ << ",";
         first = false;
-        *json_out_ << "\"" << JsonEscape(name) << "\":" << counter.value;
+        *json_out_ << rtp::JsonString(name) << ":" << counter.value;
       }
       *json_out_ << "},\"metrics\":" << rtp::obs::DumpJson() << "}\n";
     }

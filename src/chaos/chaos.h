@@ -9,7 +9,7 @@
 // (config, stream) pair into a deterministic sequence of FaultDecisions:
 // exactly one Draw() per operation, regardless of how many retry attempts
 // the operation ends up needing, so the injection sequence — and hence
-// the per-node injection counts the chaos CI leg diffs — depends only on
+// the per-op injection counts the chaos CI leg diffs — depends only on
 // (config.seed, stream, op sequence). The RNG is the same splitmix64
 // discipline as rtp::workload thread seeding (common/rng.h).
 //

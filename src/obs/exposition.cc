@@ -4,6 +4,8 @@
 #include <map>
 #include <sstream>
 
+#include "common/json_string.h"
+
 namespace rtp::obs {
 
 namespace {
@@ -94,21 +96,21 @@ std::string SnapshotToJson(const MetricsSnapshot& snapshot) {
   out << "{\"schema_version\":" << kDumpSchemaVersion << ",\"counters\":{";
   for (size_t i = 0; i < snapshot.counters.size(); ++i) {
     if (i != 0) out << ",";
-    out << "\"" << internal::JsonEscape(snapshot.counters[i].first)
-        << "\":" << snapshot.counters[i].second;
+    out << JsonString(snapshot.counters[i].first) << ":"
+        << snapshot.counters[i].second;
   }
   out << "},\"gauges\":{";
   for (size_t i = 0; i < snapshot.gauges.size(); ++i) {
     if (i != 0) out << ",";
-    out << "\"" << internal::JsonEscape(snapshot.gauges[i].first)
-        << "\":" << snapshot.gauges[i].second;
+    out << JsonString(snapshot.gauges[i].first) << ":"
+        << snapshot.gauges[i].second;
   }
   out << "},\"histograms\":{";
   for (size_t i = 0; i < snapshot.histograms.size(); ++i) {
     const HistogramDelta& d = snapshot.histograms[i].second;
     if (i != 0) out << ",";
-    out << "\"" << internal::JsonEscape(snapshot.histograms[i].first)
-        << "\":{\"count\":" << d.count << ",\"sum\":" << d.sum
+    out << JsonString(snapshot.histograms[i].first)
+        << ":{\"count\":" << d.count << ",\"sum\":" << d.sum
         << ",\"min\":" << d.ReportedMin() << ",\"max\":" << d.max
         << ",\"mean\":" << d.Mean()
         << ",\"p50\":" << d.ApproxQuantile(0.5)

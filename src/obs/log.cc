@@ -8,6 +8,7 @@
 #include <mutex>
 #include <utility>
 
+#include "common/json_string.h"
 #include "obs/metrics.h"
 
 namespace rtp::obs {
@@ -135,9 +136,9 @@ LogMessage::~LogMessage() {
 
   std::ostringstream line;
   line << "{\"ts_ms\":" << now_ms << ",\"level\":\"" << LogLevelName(level_)
-       << "\",\"file\":\"" << JsonEscape(BaseName(file_))
-       << "\",\"line\":" << line_ << ",\"msg\":\""
-       << JsonEscape(stream_.str()) << "\",\"suppressed\":" << suppressed
+       << "\",\"file\":" << JsonString(BaseName(file_))
+       << ",\"line\":" << line_ << ",\"msg\":" << JsonString(stream_.str())
+       << ",\"suppressed\":" << suppressed
        << "}\n";
   std::string rendered = line.str();
 

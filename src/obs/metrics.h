@@ -53,11 +53,6 @@ void DomainCounterAdd(MetricDomain* domain, Counter* counter, uint64_t n);
 void DomainHistogramRecord(MetricDomain* domain, Histogram* histogram,
                            uint64_t sample);
 
-// JSON string escaping shared by every obs serializer (metric names are
-// plain identifiers in practice, but dumps must never emit malformed
-// JSON).
-std::string JsonEscape(const std::string& s);
-
 }  // namespace internal
 
 // Metrics created outside the registry (rare; tests) carry this id and

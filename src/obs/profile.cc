@@ -3,6 +3,7 @@
 #include <new>
 #include <sstream>
 
+#include "common/json_string.h"
 #include "guard/guard.h"
 
 namespace rtp::obs {
@@ -24,14 +25,13 @@ uint64_t QueryProfile::RootPhaseTotalNs() const {
 
 std::string QueryProfile::ToJson() const {
   std::ostringstream out;
-  out << "{\"op\":\"" << internal::JsonEscape(op) << "\""
-      << ",\"wall_ns\":" << wall_ns << ",\"status\":\""
-      << internal::JsonEscape(status) << "\"";
+  out << "{\"op\":" << JsonString(op) << ",\"wall_ns\":" << wall_ns
+      << ",\"status\":" << JsonString(status);
   out << ",\"phases\":[";
   for (size_t i = 0; i < phases.size(); ++i) {
     const CapturedSpan& span = phases[i];
     if (i != 0) out << ",";
-    out << "{\"name\":\"" << internal::JsonEscape(span.name) << "\""
+    out << "{\"name\":" << JsonString(span.name)
         << ",\"start_ns\":" << span.start_ns << ",\"dur_ns\":" << span.dur_ns
         << ",\"parent\":" << span.parent << ",\"depth\":" << span.depth
         << "}";
@@ -39,15 +39,14 @@ std::string QueryProfile::ToJson() const {
   out << "],\"counters\":{";
   for (size_t i = 0; i < counters.size(); ++i) {
     if (i != 0) out << ",";
-    out << "\"" << internal::JsonEscape(counters[i].first)
-        << "\":" << counters[i].second;
+    out << JsonString(counters[i].first) << ":" << counters[i].second;
   }
   out << "},\"histograms\":{";
   for (size_t i = 0; i < histograms.size(); ++i) {
     const HistogramDelta& d = histograms[i].second;
     if (i != 0) out << ",";
-    out << "\"" << internal::JsonEscape(histograms[i].first)
-        << "\":{\"count\":" << d.count << ",\"sum\":" << d.sum
+    out << JsonString(histograms[i].first) << ":{\"count\":" << d.count
+        << ",\"sum\":" << d.sum
         << ",\"min\":" << d.ReportedMin() << ",\"max\":" << d.max
         << ",\"mean\":" << d.Mean()
         << ",\"p50\":" << static_cast<uint64_t>(d.Quantile(0.5) + 0.5)

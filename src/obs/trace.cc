@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "common/json_string.h"
 #include "obs/domain.h"
 #include <cstdio>
 #include <cstdlib>
@@ -29,28 +30,6 @@ int64_t MonotonicNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// Minimal JSON string escaping; span names are call-site literals, so only
-// the characters a reasonable literal could contain need handling.
-std::string EscapeJson(const char* s) {
-  std::string out;
-  for (const char* p = s; *p; ++p) {
-    switch (*p) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += *p;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -110,7 +89,7 @@ std::string TraceSession::ExportChromeTracing() const {
   for (size_t i = 0; i < spans_.size(); ++i) {
     const Span& s = spans_[i];
     if (i) out << ",";
-    out << "\n{\"name\":\"" << EscapeJson(s.name) << "\",\"ph\":\"X\",\"ts\":"
+    out << "\n{\"name\":" << JsonString(s.name) << ",\"ph\":\"X\",\"ts\":"
         << s.start_us << ",\"dur\":" << s.dur_us
         << ",\"pid\":1,\"tid\":" << s.tid << ",\"args\":{\"depth\":"
         << s.depth << "}}";

@@ -27,7 +27,7 @@
 //
 // Fault injection lives here too, and only here: a call's
 // chaos::FaultDecision is applied to its first attempt, and retries run
-// clean, so the per-node fault counts of a seeded workload run repeat.
+// clean, so the per-op fault counts of a seeded workload run repeat.
 
 #include <cstdint>
 #include <limits>

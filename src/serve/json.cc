@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/json_string.h"
+
 namespace rtp::serve {
 namespace {
 
@@ -306,7 +308,7 @@ void SerializeTo(const JsonValue& v, std::string* out) {
       break;
     }
     case JsonValue::Kind::kString:
-      JsonValue::AppendEscaped(out, v.string_value());
+      AppendJsonString(out, v.string_value());
       break;
     case JsonValue::Kind::kArray: {
       out->push_back('[');
@@ -325,7 +327,7 @@ void SerializeTo(const JsonValue& v, std::string* out) {
       for (const auto& [key, value] : v.object_items()) {
         if (!first) out->push_back(',');
         first = false;
-        JsonValue::AppendEscaped(out, key);
+        AppendJsonString(out, key);
         out->push_back(':');
         SerializeTo(value, out);
       }
@@ -345,30 +347,6 @@ std::string JsonValue::Serialize() const {
   std::string out;
   SerializeTo(*this, &out);
   return out;
-}
-
-void JsonValue::AppendEscaped(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\b': out->append("\\b"); break;
-      case '\f': out->append("\\f"); break;
-      case '\n': out->append("\\n"); break;
-      case '\r': out->append("\\r"); break;
-      case '\t': out->append("\\t"); break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(static_cast<char>(c));
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 const JsonValue* JsonValue::Find(std::string_view key) const {

@@ -137,8 +137,6 @@ class JsonValue {
   // wildcard for volatile fields like trip messages.
   bool MatchesWithWildcards(const JsonValue& other) const;
 
-  static void AppendEscaped(std::string* out, std::string_view s);
-
  private:
   Kind kind_ = Kind::kNull;
   bool bool_ = false;

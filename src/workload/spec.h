@@ -1,33 +1,32 @@
 #ifndef RTP_WORKLOAD_SPEC_H_
 #define RTP_WORKLOAD_SPEC_H_
 
-// rtp::workload v2 — declarative workload specs (docs/WORKLOADS.md).
+// rtp::workload — declarative workload specs (docs/WORKLOADS.md).
 //
-// A workload is described entirely by a JSON file (genny-style: no code
-// needed to define or change one): a named graph of nodes, where op nodes
-// map 1:1 onto the serve::Client request wrappers (eval / checkfd /
-// matrix / load / stats), control nodes compose them (random_choice with
-// integer weights, sequence, do_all, loop by count or duration, nested
-// sub-workloads), and generator specs describe payload sources (rtp::fuzz
-// seeded generators, recorded files, exam-session synthesis — see
-// workload/generator.h).
+// A workload is described entirely by a JSON file: a `setup` list of
+// named ops run once before the measurement, a `mix` of named ops with
+// integer weights that every client thread draws from, a length (`count`
+// ops per thread or `duration_s` seconds), named payload generators
+// (rtp::fuzz seeded generators, recorded files, exam-session synthesis —
+// see workload/generator.h) and an optional chaos block. Each op maps
+// 1:1 onto a serve::Client request wrapper (eval / checkfd / matrix /
+// load / stats).
 //
 // The parser uses the dependency-free serve/json.h value; specs live
 // under examples/workloads/. Parsing is strict: unknown keys, unknown
-// node/generator references, malformed payload sourcing, and cycles in
-// the node graph all yield structured Status errors, never crashes — the
+// generator references, malformed payload sourcing and out-of-range
+// integers all yield structured Status errors, never crashes — the
 // contract pinned by tests/workload_spec_test.cc.
 //
-// Determinism contract (docs/WORKLOADS.md "Seeding"): a spec whose loops
-// are all count-based executes an identical per-thread op sequence for a
-// fixed (spec, seed, threads) triple — every random draw (random_choice,
-// generator payloads) comes from the thread's own splitmix64 Rng. The
-// `load` CI leg runs the smoke spec twice with one seed and diffs the
-// per-node op counts.
+// Determinism contract (docs/WORKLOADS.md "Seeding"): a count-based spec
+// executes an identical per-thread op sequence for a fixed (spec, seed,
+// threads) triple — every random draw (the mix choice, generator
+// payloads) comes from the thread's own splitmix64 Rng. The `load` CI
+// leg runs the smoke spec twice with one seed and diffs the per-op
+// counts.
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,8 +38,8 @@
 
 namespace rtp::workload {
 
-// Sentinel for "no node reference".
-inline constexpr size_t kNoNode = static_cast<size_t>(-1);
+// Sentinel for "no generator".
+inline constexpr size_t kNoGenerator = static_cast<size_t>(-1);
 
 // A named payload source (workload/generator.h). `kind` is one of the five
 // generator kinds; the fuzz_* kinds get their TextGenParams pre-parsed into
@@ -56,81 +55,58 @@ struct GeneratorSpec {
   std::vector<std::string> payloads;
 };
 
-enum class NodeKind : uint8_t {
-  // Op nodes — one serve::Client call each, timed and counted per node.
-  kEval = 0,   // Client::Eval(tenant, doc, pattern_text)
-  kCheckFd,    // Client::CheckFd(tenant, doc, fd_text)
-  kMatrix,     // Client::Matrix(tenant, fd_texts, class_texts, schema)
-  kLoad,       // Client::Load(tenant, doc, xml_text)
-  kStats,      // Client::Stats()
-  // Control nodes — compose the graph, not timed.
-  kRandomChoice,  // one weighted child per execution
-  kSequence,      // children in order
-  kDoAll,         // all children, then continue (join barrier)
-  kLoop,          // body, `count` times or for `duration_s`
-  kWorkload,      // nested sub-workload with its own node namespace
+// One serve::Client call each, timed and counted under the op's name.
+enum class OpKind : uint8_t {
+  kEval,     // Client::Eval(tenant, doc, pattern_text)
+  kCheckFd,  // Client::CheckFd(tenant, doc, fd_text)
+  kMatrix,   // Client::Matrix(tenant, fd_texts, class_texts, schema)
+  kLoad,     // Client::Load(tenant, doc, xml_text)
+  kStats,    // Client::Stats()
 };
 
-const char* NodeKindName(NodeKind kind);
-
-struct WorkloadSpec;
-
-struct WorkloadNode {
+struct WorkloadOp {
   std::string name;
-  NodeKind kind = NodeKind::kSequence;
-
-  // --- op payload ---------------------------------------------------
-  std::string doc;        // target document name (eval/checkfd/load)
-  std::string text;       // inline payload ("text" or preloaded "file")
-  size_t generator = kNoNode;  // index into WorkloadSpec::generators
+  OpKind kind = OpKind::kStats;
+  std::string doc;                     // eval / checkfd / load
+  std::string text;                    // inline payload ("text" or "file")
+  size_t generator = kNoGenerator;     // index into WorkloadSpec::generators
   std::vector<std::string> fd_texts;     // matrix
   std::vector<std::string> class_texts;  // matrix
   std::string schema_text;               // matrix (optional)
   // Optional per-request budget, sent as CallOptions::budget.
   guard::ExecutionBudget budget;
-
-  // --- control payload ----------------------------------------------
-  std::vector<size_t> children;     // random_choice / sequence / do_all
-  std::vector<uint64_t> weights;    // random_choice (positive integers)
-  size_t body = kNoNode;            // loop
-  uint64_t count = 0;               // loop: iterations (exclusive with
-  double duration_s = 0;            //   duration_s)
-  std::unique_ptr<WorkloadSpec> sub;  // nested workload
-
-  bool IsOp() const { return kind <= NodeKind::kStats; }
+  // Positive relative frequency in the mix; 0 for setup ops.
+  uint64_t weight = 0;
 };
 
 struct WorkloadSpec {
   std::string name;
   // Tenant every request runs under (server creates it on first use).
   std::string tenant = "load";
-  size_t root = kNoNode;
-  // Node indices executed exactly once (single-threaded, root seed)
-  // before the measured per-thread phase — typically `load` ops.
-  std::vector<size_t> setup;
-  std::vector<WorkloadNode> nodes;
   std::vector<GeneratorSpec> generators;
+  // Run once, in order, single-threaded on the root seed and without
+  // chaos, before the measured phase — typically `load` ops.
+  std::vector<WorkloadOp> setup;
+  // Each measured op is one weighted draw from `mix`.
+  std::vector<WorkloadOp> mix;
+  // Exactly one is set: measured ops per thread, or seconds per thread.
+  uint64_t count = 0;
+  double duration_s = 0;
 
   // Chaos block (docs/WORKLOADS.md "Chaos"): fault-injection rates for
-  // the measured phase (setup always runs clean). Only the top-level
-  // spec's block applies — the runner builds one FaultPlan per thread
-  // from (chaos.seed, thread index). When enabled, workers use a
-  // resilient client configured with the knobs below.
+  // the measured phase. The runner builds one FaultPlan per thread from
+  // (chaos.seed, thread index). When enabled, workers use a resilient
+  // client configured with the knobs below.
   chaos::ChaosConfig chaos;
   int chaos_max_attempts = 3;
   int chaos_call_timeout_ms = 2000;
-
-  const WorkloadNode& node(size_t i) const { return nodes[i]; }
-  // Index of the named node, or kNoNode.
-  size_t FindNode(std::string_view node_name) const;
 };
 
 // Parses and validates a spec. `base_dir` resolves "file" references
 // (payloads are inlined at parse time, so a parsed spec is self-contained
 // and the runner never touches the filesystem); "" means the process cwd.
 // Errors are structured: PARSE_ERROR for malformed JSON, INVALID_ARGUMENT
-// (naming the offending node) for semantic problems including cycles,
-// RESOURCE_EXHAUSTED for over-deep nesting.
+// (naming the offending op or key) for everything else.
 StatusOr<WorkloadSpec> ParseWorkloadSpec(std::string_view json_text,
                                          const std::string& base_dir = "");
 

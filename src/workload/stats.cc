@@ -5,24 +5,8 @@
 #include <sstream>
 
 namespace rtp::workload {
-namespace {
 
-// Fixed-format double for JSON output (no locale surprises, integral
-// values without a trailing ".000000").
-std::string FormatDouble(double v) {
-  char buf[64];
-  if (v == static_cast<double>(static_cast<int64_t>(v))) {
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(static_cast<int64_t>(v)));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.3f", v);
-  }
-  return buf;
-}
-
-}  // namespace
-
-void NodeStats::Record(double latency_us, bool ok) {
+void OpStats::Record(double latency_us, bool ok) {
   if (count == 0 || latency_us < min_us) min_us = latency_us;
   if (latency_us > max_us) max_us = latency_us;
   ++count;
@@ -32,13 +16,12 @@ void NodeStats::Record(double latency_us, bool ok) {
   latency_ns.Record(static_cast<uint64_t>(latency_us * 1000.0));
 }
 
-void NodeStats::Merge(const NodeStats& other) {
+void OpStats::Merge(const OpStats& other) {
   if (other.count == 0) return;
   if (count == 0 || other.min_us < min_us) min_us = other.min_us;
   if (other.max_us > max_us) max_us = other.max_us;
   count += other.count;
   errors += other.errors;
-  transport_errors += other.transport_errors;
   for (int i = 0; i < chaos::kNumFaultKinds; ++i) {
     faults[static_cast<size_t>(i)] += other.faults[static_cast<size_t>(i)];
   }
@@ -47,40 +30,36 @@ void NodeStats::Merge(const NodeStats& other) {
   latency_ns.Merge(other.latency_ns);
 }
 
-double NodeStats::stddev_us() const {
+double OpStats::stddev_us() const {
   if (count < 2) return 0;
   double mean = mean_us();
   double variance = sum_sq_us / static_cast<double>(count) - mean * mean;
   return variance > 0 ? std::sqrt(variance) : 0;
 }
 
-NodeStats& WorkloadStats::Node(const std::string& name) {
-  return nodes_[name];
+OpStats& WorkloadStats::Op(const std::string& name) {
+  return ops_[name];
 }
 
 void WorkloadStats::Merge(const WorkloadStats& other) {
-  for (const auto& [name, stats] : other.nodes_) {
-    nodes_[name].Merge(stats);
+  for (const auto& [name, stats] : other.ops_) {
+    ops_[name].Merge(stats);
   }
 }
 
-NodeStats WorkloadStats::Total() const {
-  NodeStats total;
-  for (const auto& [name, stats] : nodes_) {
+OpStats WorkloadStats::Total() const {
+  OpStats total;
+  for (const auto& [name, stats] : ops_) {
     (void)name;
     total.Merge(stats);
   }
   return total;
 }
 
-uint64_t WorkloadStats::TotalOps() const { return Total().count; }
-
-uint64_t WorkloadStats::TotalErrors() const { return Total().errors; }
-
 std::string WorkloadStats::ToText(const std::string& workload_name,
                                   int threads, uint64_t seed,
                                   double elapsed_s) const {
-  NodeStats total = Total();
+  OpStats total = Total();
   double rps = elapsed_s > 0 ? static_cast<double>(total.count) / elapsed_s : 0;
   std::ostringstream out;
   char line[256];
@@ -93,11 +72,11 @@ std::string WorkloadStats::ToText(const std::string& workload_name,
                 static_cast<unsigned long long>(total.errors));
   out << line;
   std::snprintf(line, sizeof(line),
-                "%-24s %9s %7s %10s %10s %10s %10s %10s %10s\n", "node",
+                "%-24s %9s %7s %10s %10s %10s %10s %10s %10s\n", "op",
                 "count", "errors", "mean_us", "stddev_us", "min_us", "max_us",
                 "p50_us", "p99_us");
   out << line;
-  for (const auto& [name, stats] : nodes_) {
+  for (const auto& [name, stats] : ops_) {
     std::snprintf(line, sizeof(line),
                   "%-24s %9llu %7llu %10.1f %10.1f %10.1f %10.1f %10.1f "
                   "%10.1f\n",
@@ -110,41 +89,9 @@ std::string WorkloadStats::ToText(const std::string& workload_name,
   return out.str();
 }
 
-std::string WorkloadStats::ToBenchJsonLines(const std::string& workload_name,
-                                            int threads,
-                                            double elapsed_s) const {
-  std::ostringstream out;
-  auto emit = [&](const std::string& node_name, const NodeStats& stats,
-                  bool with_rps) {
-    double mean_ns = stats.mean_us() * 1000.0;
-    out << "{\"bench\":\"rtp_load/" << workload_name << "/" << node_name
-        << "/t" << threads << "\",\"iterations\":" << stats.count
-        << ",\"real_time\":" << FormatDouble(mean_ns)
-        << ",\"cpu_time\":" << FormatDouble(mean_ns)
-        << ",\"time_unit\":\"ns\",\"counters\":{"
-        << "\"ops\":" << stats.count << ",\"errors\":" << stats.errors
-        << ",\"min_us\":" << FormatDouble(stats.min_us)
-        << ",\"max_us\":" << FormatDouble(stats.max_us)
-        << ",\"stddev_us\":" << FormatDouble(stats.stddev_us())
-        << ",\"p50_us\":" << FormatDouble(stats.p50_us())
-        << ",\"p99_us\":" << FormatDouble(stats.p99_us());
-    if (with_rps) {
-      double rps =
-          elapsed_s > 0 ? static_cast<double>(stats.count) / elapsed_s : 0;
-      out << ",\"rps\":" << FormatDouble(rps);
-    }
-    out << "}}\n";
-  };
-  for (const auto& [name, stats] : nodes_) {
-    emit(name, stats, /*with_rps=*/false);
-  }
-  emit("total", Total(), /*with_rps=*/true);
-  return out.str();
-}
-
 std::string WorkloadStats::ToCountsText() const {
   std::ostringstream out;
-  for (const auto& [name, stats] : nodes_) {
+  for (const auto& [name, stats] : ops_) {
     out << name << " " << stats.count << "\n";
     for (int i = 1; i < chaos::kNumFaultKinds; ++i) {
       uint64_t injected = stats.faults[static_cast<size_t>(i)];

@@ -1,12 +1,11 @@
 #ifndef RTP_WORKLOAD_STATS_H_
 #define RTP_WORKLOAD_STATS_H_
 
-// Per-node latency statistics for workload runs (genny-style: every op
-// node's execution is timed, and the run reports count / mean / min /
-// max / stddev plus p50/p99 per node). The quantiles come from the
-// existing obs log2-histogram machinery (obs::HistogramDelta), so a
-// workload node's latency distribution is the same shape the serve.*
-// metrics use.
+// Per-op latency statistics for workload runs: every op execution is
+// timed, and the run reports count / mean / min / max / stddev plus
+// p50/p99 per op. The quantiles come from the existing obs log2-histogram
+// machinery (obs::HistogramDelta), so an op's latency distribution is
+// the same shape the serve.* metrics use.
 //
 // Threading model: each runner thread records into its own WorkloadStats
 // (plain fields, no atomics), and the runner merges thread stats in
@@ -23,13 +22,10 @@
 
 namespace rtp::workload {
 
-struct NodeStats {
+struct OpStats {
   uint64_t count = 0;   // executions, successful or not
   uint64_t errors = 0;  // non-OK responses (any status)
-  // Of `errors`, how many were transport failures (UNAVAILABLE /
-  // TRANSPORT_ERROR after retries) rather than op-level responses.
-  uint64_t transport_errors = 0;
-  // Chaos faults injected into this node's calls, by FaultKind.
+  // Chaos faults injected into this op's calls, by FaultKind.
   std::array<uint64_t, chaos::kNumFaultKinds> faults{};
   double sum_us = 0;
   double sum_sq_us = 0;
@@ -39,7 +35,7 @@ struct NodeStats {
   obs::HistogramDelta latency_ns;
 
   void Record(double latency_us, bool ok);
-  void Merge(const NodeStats& other);
+  void Merge(const OpStats& other);
 
   double mean_us() const { return count == 0 ? 0 : sum_us / count; }
   double stddev_us() const;
@@ -49,40 +45,28 @@ struct NodeStats {
 
 class WorkloadStats {
  public:
-  // The stats cell for `name`, created on first use.
-  NodeStats& Node(const std::string& name);
+  // The stats cell for the op `name`, created on first use.
+  OpStats& Op(const std::string& name);
 
   void Merge(const WorkloadStats& other);
 
-  const std::map<std::string, NodeStats>& nodes() const { return nodes_; }
+  const std::map<std::string, OpStats>& ops() const { return ops_; }
 
-  // All nodes merged into one distribution (the run's total op stream).
-  NodeStats Total() const;
-  uint64_t TotalOps() const;
-  uint64_t TotalErrors() const;
+  // All ops merged into one distribution (the run's total op stream).
+  OpStats Total() const;
 
-  // Human-readable per-node table plus a one-line run summary.
+  // Human-readable per-op table plus a one-line run summary.
   std::string ToText(const std::string& workload_name, int threads,
                      uint64_t seed, double elapsed_s) const;
 
-  // One bench-JSON line per node plus a "total" line, in the format the
-  // bench/ binaries emit (fields "bench" and "cpu_time" in ns):
-  //   {"bench":"rtp_load/<spec>/<node>/t<threads>","iterations":<count>,
-  //    "real_time":<mean_ns>,"cpu_time":<mean_ns>,"time_unit":"ns",
-  //    "counters":{"ops":...,"errors":...,"min_us":...,"max_us":...,
-  //                "stddev_us":...,"p50_us":...,"p99_us":...}}
-  // The total line also carries "rps" (ops / elapsed_s).
-  std::string ToBenchJsonLines(const std::string& workload_name, int threads,
-                               double elapsed_s) const;
-
-  // "<node> <count>" per line, sorted by node name — the reproducibility
-  // artifact the load CI leg diffs between two same-seed runs. Nodes with
-  // injected chaos faults add "<node>.fault.<kind> <count>" lines, so the
-  // chaos leg's same-seed diff also pins per-node injection counts.
+  // "<op> <count>" per line, sorted by op name — the reproducibility
+  // artifact the load CI leg diffs between two same-seed runs. Ops with
+  // injected chaos faults add "<op>.fault.<kind> <count>" lines, so the
+  // chaos leg's same-seed diff also pins per-op injection counts.
   std::string ToCountsText() const;
 
  private:
-  std::map<std::string, NodeStats> nodes_;
+  std::map<std::string, OpStats> ops_;
 };
 
 }  // namespace rtp::workload

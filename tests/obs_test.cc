@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 #include "obs/trace.h"
+#include "serve/json.h"
 
 namespace rtp::obs {
 namespace {
@@ -490,7 +491,7 @@ TEST(TraceTest, ChromeTracingExportShape) {
   TraceSession session;
   session.Start();
   {
-    TraceSpan span("obstest.export \"quoted\"");
+    TraceSpan span("obstest.export \"quoted\"\ttab");
     volatile uint64_t sink = 0;
     for (int i = 0; i < 1000; ++i) sink = sink + i;
   }
@@ -503,8 +504,16 @@ TEST(TraceTest, ChromeTracingExportShape) {
   EXPECT_NE(json.find("\"ts\":"), std::string::npos);
   EXPECT_NE(json.find("\"dur\":"), std::string::npos);
   EXPECT_NE(json.find("\"args\":{\"depth\":0}"), std::string::npos);
-  // Quotes in span names are escaped.
-  EXPECT_NE(json.find("obstest.export \\\"quoted\\\""), std::string::npos);
+  // Quotes and control characters in span names are escaped, so the
+  // export is valid JSON and the name round-trips.
+  EXPECT_NE(json.find("obstest.export \\\"quoted\\\"\\ttab"),
+            std::string::npos);
+  auto parsed = serve::JsonValue::Parse(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_TRUE(parsed->is_array());
+  ASSERT_EQ(parsed->array_items().size(), 1u);
+  EXPECT_EQ(parsed->array_items()[0].FindString("name"),
+            "obstest.export \"quoted\"\ttab");
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 //   * No collateral damage: the daemon survives every fault schedule and
 //     stays responsive to a clean client afterwards.
 //   * Determinism: the same (spec, chaos seed, threads) triple reproduces
-//     identical per-node fault-injection counts — the property the chaos
+//     identical per-op fault-injection counts — the property the chaos
 //     CI leg checks by diffing two rtp_load --counts-out files.
 //
 // LineFramer unit + torn-wire coverage lives here too, next to the chaos
@@ -523,8 +523,8 @@ TEST(ServerDegradationTest, DrainStopsAcceptingAndCompletes) {
 constexpr char kChaosSpec[] = R"({
   "name": "chaos-test",
   "tenant": "chaos-test",
-  "setup": ["load_doc"],
-  "root": "main",
+  "setup": {"load_doc": {"op": "load", "doc": "d", "text": "<a><b>v0</b></a>"}},
+  "count": 40,
   "chaos": {
     "seed": 11,
     "connect_refused": 300,
@@ -538,17 +538,10 @@ constexpr char kChaosSpec[] = R"({
     "max_attempts": 4,
     "call_timeout_ms": 2000
   },
-  "nodes": {
-    "load_doc": {"op": "load", "doc": "d", "text": "<a><b>v0</b></a>"},
-    "main": {"op": "loop", "count": 40, "body": "mix"},
-    "mix": {
-      "op": "random_choice",
-      "children": ["eval_b", "stats"],
-      "weights": [3, 1]
-    },
-    "eval_b": {"op": "eval", "doc": "d",
+  "mix": {
+    "eval_b": {"op": "eval", "weight": 3, "doc": "d",
                "text": "root { a { x = b; } } select x;"},
-    "stats": {"op": "stats"}
+    "stats": {"op": "stats", "weight": 1}
   }
 })";
 
@@ -574,7 +567,7 @@ TEST(WorkloadChaosTest, FaultScheduleIsReproducibleAndNothingHangs) {
   // 1800 bp injects ~21 faults per run; the single setup load makes 121).
   EXPECT_EQ(run1->ops, 121u);
   EXPECT_GT(run1->faults_injected, 0u);
-  // The whole point: per-node counts — including the fault.<kind> lines —
+  // The whole point: per-op counts — including the fault.<kind> lines —
   // are byte-identical across same-seed runs.
   EXPECT_EQ(run1->stats.ToCountsText(), run2->stats.ToCountsText());
   EXPECT_EQ(run1->faults_injected, run2->faults_injected);
@@ -592,35 +585,12 @@ TEST(WorkloadChaosTest, FaultScheduleIsReproducibleAndNothingHangs) {
   ts.server->Stop();
 }
 
-TEST(WorkloadChaosTest, ChaosBlockIsRejectedBelowTopLevel) {
-  auto spec_or = workload::ParseWorkloadSpec(R"({
-    "name": "bad", "tenant": "bad", "root": "main",
-    "nodes": {
-      "main": {
-        "op": "workload",
-        "spec": {
-          "name": "inner", "tenant": "bad", "root": "ping",
-          "chaos": {"seed": 1, "read_stall": 100},
-          "nodes": {"ping": {"op": "stats"}}
-        }
-      }
-    }
-  })",
-                                             "");
-  ASSERT_FALSE(spec_or.ok());
-  EXPECT_NE(spec_or.status().message().find("top-level"), std::string::npos)
-      << spec_or.status().ToString();
-}
-
 TEST(WorkloadChaosTest, CleanSpecReportsNoFaults) {
   TestServer ts = StartTestServer();
   ASSERT_NE(ts.server, nullptr);
   auto spec_or = workload::ParseWorkloadSpec(R"({
-    "name": "clean", "tenant": "clean", "root": "main",
-    "nodes": {
-      "main": {"op": "loop", "count": 5, "body": "ping"},
-      "ping": {"op": "stats"}
-    }
+    "name": "clean", "tenant": "clean", "count": 5,
+    "mix": {"ping": {"op": "stats", "weight": 1}}
   })",
                                              "");
   ASSERT_TRUE(spec_or.ok()) << spec_or.status().ToString();

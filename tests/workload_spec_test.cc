@@ -1,9 +1,9 @@
-// Spec-layer contract for rtp::workload v2 (docs/WORKLOADS.md): malformed,
-// unknown-reference, and cyclic specs yield structured Status errors —
-// never crashes — and the committed smoke spec parses to the exact shape
-// the load CI leg replays. The runner itself is covered by
-// tests/workload_runner_test.cc in the serve battery (it needs a live
-// server).
+// Spec-layer contract for rtp::workload (docs/WORKLOADS.md): malformed
+// specs, unknown keys and references, and integers that do not fit their
+// field yield structured Status errors — never crashes — and the
+// committed smoke spec parses to the exact shape the load CI leg replays.
+// The runner itself is covered by tests/workload_runner_test.cc in the
+// serve battery (it needs a live server).
 
 #include <string>
 
@@ -24,24 +24,39 @@ std::string SmokeSpecPath() {
 // Minimal valid spec the error tests mutate from.
 constexpr char kTinySpec[] = R"({
   "name": "tiny",
-  "root": "main",
-  "nodes": {
-    "main": {"op": "loop", "count": 3, "body": "ping"},
-    "ping": {"op": "stats"}
-  }
+  "count": 3,
+  "mix": {"ping": {"op": "stats", "weight": 1}}
 })";
+
+// A spec whose one mix op is `op` (a JSON object body) and whose count is
+// `count`, plus any extra top-level members in `extra`.
+std::string MixSpec(const std::string& op, const std::string& extra = "",
+                    const std::string& count = "1") {
+  return R"({"name": "x", "count": )" + count + extra +
+         R"(, "mix": {"a": )" + op + "}}";
+}
+
+void ExpectInvalid(const StatusOr<WorkloadSpec>& spec,
+                   const std::string& message_part) {
+  ASSERT_FALSE(spec.ok()) << message_part;
+  EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument)
+      << spec.status().ToString();
+  EXPECT_NE(spec.status().message().find(message_part), std::string::npos)
+      << spec.status().ToString();
+}
 
 TEST(WorkloadSpecTest, TinySpecParses) {
   auto spec = ParseWorkloadSpec(kTinySpec);
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   EXPECT_EQ(spec->name, "tiny");
   EXPECT_EQ(spec->tenant, "load");  // default
-  ASSERT_EQ(spec->nodes.size(), 2u);
-  EXPECT_EQ(spec->root, spec->FindNode("main"));
-  const WorkloadNode& main_node = spec->nodes[spec->FindNode("main")];
-  EXPECT_EQ(main_node.kind, NodeKind::kLoop);
-  EXPECT_EQ(main_node.count, 3u);
-  EXPECT_EQ(main_node.body, spec->FindNode("ping"));
+  EXPECT_EQ(spec->count, 3u);
+  EXPECT_EQ(spec->duration_s, 0);
+  EXPECT_TRUE(spec->setup.empty());
+  ASSERT_EQ(spec->mix.size(), 1u);
+  EXPECT_EQ(spec->mix[0].name, "ping");
+  EXPECT_EQ(spec->mix[0].kind, OpKind::kStats);
+  EXPECT_EQ(spec->mix[0].weight, 1u);
 }
 
 TEST(WorkloadSpecTest, MalformedJsonIsParseError) {
@@ -57,239 +72,188 @@ TEST(WorkloadSpecTest, NonObjectSpecRejected) {
 }
 
 TEST(WorkloadSpecTest, UnknownOpRejected) {
-  auto spec = ParseWorkloadSpec(R"({
-    "name": "x", "root": "main",
-    "nodes": {"main": {"op": "frobnicate"}}
-  })");
-  ASSERT_FALSE(spec.ok());
-  EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(spec.status().message().find("unknown op 'frobnicate'"),
-            std::string::npos)
-      << spec.status().ToString();
+  ExpectInvalid(
+      ParseWorkloadSpec(MixSpec(R"({"op": "frobnicate", "weight": 1})")),
+      "unknown op 'frobnicate'");
 }
 
 TEST(WorkloadSpecTest, UnknownKeyRejected) {
-  auto spec = ParseWorkloadSpec(R"({
-    "name": "x", "root": "main",
-    "nodes": {
-      "main": {"op": "random_choice", "children": ["a"], "wieghts": [1]},
-      "a": {"op": "stats"}
-    }
-  })");
-  ASSERT_FALSE(spec.ok());
-  EXPECT_NE(spec.status().message().find("wieghts"), std::string::npos);
+  ExpectInvalid(ParseWorkloadSpec(MixSpec(R"({"op": "stats", "wieght": 1})")),
+                "wieght");
+  ExpectInvalid(ParseWorkloadSpec(MixSpec(
+                    R"({"op": "stats", "weight": 1})",
+                    R"(, "generators": {"g": {"kind": "exam_doc",
+                                              "candiates": 4}})")),
+                "generator 'g': unknown key 'candiates'");
 }
 
+// Specs are flat: a `nodes` graph or a `root` is an unknown key.
 TEST(WorkloadSpecTest, UnknownNodeReferenceRejected) {
-  auto spec = ParseWorkloadSpec(R"({
-    "name": "x", "root": "main",
-    "nodes": {"main": {"op": "sequence", "children": ["nope"]}}
-  })");
-  ASSERT_FALSE(spec.ok());
-  EXPECT_NE(spec.status().message().find("unknown node 'nope'"),
-            std::string::npos);
+  ExpectInvalid(ParseWorkloadSpec(R"({
+    "name": "x",
+    "nodes": {"main": {"op": "sequence", "children": ["nope"]}},
+    "root": "main"
+  })"),
+                "unknown key 'nodes'");
 }
 
 TEST(WorkloadSpecTest, UnknownRootRejected) {
-  auto spec = ParseWorkloadSpec(R"({
-    "name": "x", "root": "absent",
-    "nodes": {"main": {"op": "stats"}}
-  })");
-  ASSERT_FALSE(spec.ok());
-  EXPECT_NE(spec.status().message().find("absent"), std::string::npos);
-}
-
-TEST(WorkloadSpecTest, CyclicSpecRejected) {
-  auto spec = ParseWorkloadSpec(R"({
-    "name": "x", "root": "a",
-    "nodes": {
-      "a": {"op": "sequence", "children": ["b"]},
-      "b": {"op": "sequence", "children": ["a"]}
-    }
-  })");
-  ASSERT_FALSE(spec.ok());
-  EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(spec.status().message().find("cycle"), std::string::npos);
-}
-
-TEST(WorkloadSpecTest, SelfLoopRejected) {
-  auto spec = ParseWorkloadSpec(R"({
-    "name": "x", "root": "a",
-    "nodes": {"a": {"op": "loop", "count": 2, "body": "a"}}
-  })");
-  ASSERT_FALSE(spec.ok());
-  EXPECT_NE(spec.status().message().find("cycle"), std::string::npos);
-}
-
-TEST(WorkloadSpecTest, OverDeepChainRejected) {
-  // A 600-deep sequence chain trips the graph depth cap with a structured
-  // error instead of exhausting the executor's stack.
-  std::string nodes;
-  for (int i = 0; i < 600; ++i) {
-    if (i > 0) nodes += ",";
-    nodes += "\"n" + std::to_string(i) + "\": {\"op\": \"sequence\", " +
-             "\"children\": [\"n" + std::to_string(i + 1) + "\"]}";
-  }
-  nodes += ",\"n600\": {\"op\": \"stats\"}";
-  auto spec = ParseWorkloadSpec("{\"name\": \"deep\", \"root\": \"n0\", "
-                                "\"nodes\": {" + nodes + "}}");
-  ASSERT_FALSE(spec.ok());
-  EXPECT_EQ(spec.status().code(), StatusCode::kResourceExhausted);
+  ExpectInvalid(ParseWorkloadSpec(MixSpec(R"({"op": "stats", "weight": 1})",
+                                          R"(, "root": "absent")")),
+                "unknown key 'root'");
 }
 
 TEST(WorkloadSpecTest, LoopNeedsExactlyOneOfCountAndDuration) {
   auto neither = ParseWorkloadSpec(R"({
-    "name": "x", "root": "a",
-    "nodes": {"a": {"op": "loop", "body": "b"}, "b": {"op": "stats"}}
+    "name": "x", "mix": {"b": {"op": "stats", "weight": 1}}
   })");
-  ASSERT_FALSE(neither.ok());
+  ExpectInvalid(neither, "exactly one");
   auto both = ParseWorkloadSpec(R"({
-    "name": "x", "root": "a",
-    "nodes": {
-      "a": {"op": "loop", "count": 1, "duration_s": 1, "body": "b"},
-      "b": {"op": "stats"}
-    }
+    "name": "x", "count": 1, "duration_s": 1,
+    "mix": {"b": {"op": "stats", "weight": 1}}
   })");
-  ASSERT_FALSE(both.ok());
-  EXPECT_NE(both.status().message().find("exactly one"), std::string::npos);
+  ExpectInvalid(both, "exactly one");
+  auto zero_duration = ParseWorkloadSpec(R"({
+    "name": "x", "duration_s": 0,
+    "mix": {"b": {"op": "stats", "weight": 1}}
+  })");
+  ExpectInvalid(zero_duration, "'duration_s' must be a positive number");
 }
 
 TEST(WorkloadSpecTest, LoopCountMustBeANonnegativeInteger) {
   for (const char* count : {"1e300", "1.5", "-1"}) {
-    auto spec = ParseWorkloadSpec(
-        std::string(R"({"name": "x", "root": "a", "nodes": {)") +
-        R"("a": {"op": "loop", "count": )" + count + R"(, "body": "b"},)" +
-        R"("b": {"op": "stats"}}})");
-    ASSERT_FALSE(spec.ok()) << count;
-    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << count;
-    EXPECT_NE(spec.status().message().find("must be a nonnegative integer"),
-              std::string::npos)
-        << count << ": " << spec.status().ToString();
+    ExpectInvalid(ParseWorkloadSpec(
+                      MixSpec(R"({"op": "stats", "weight": 1})", "", count)),
+                  "must be a nonnegative integer");
   }
 }
 
+// Every mix op carries its own weight, and only mix ops carry one.
 TEST(WorkloadSpecTest, WeightsMustMatchChildren) {
-  auto spec = ParseWorkloadSpec(R"({
-    "name": "x", "root": "a",
-    "nodes": {
-      "a": {"op": "random_choice", "children": ["b", "c"], "weights": [1]},
-      "b": {"op": "stats"}, "c": {"op": "stats"}
-    }
-  })");
-  ASSERT_FALSE(spec.ok());
-  EXPECT_NE(spec.status().message().find("weights"), std::string::npos);
+  ExpectInvalid(ParseWorkloadSpec(MixSpec(R"({"op": "stats"})")),
+                "needs a 'weight'");
+  ExpectInvalid(ParseWorkloadSpec(R"({
+    "name": "x", "count": 1,
+    "setup": {"s": {"op": "stats", "weight": 1}},
+    "mix": {"a": {"op": "stats", "weight": 1}}
+  })"),
+                "'weight' only applies to mix ops");
 }
 
 TEST(WorkloadSpecTest, ZeroWeightRejected) {
-  auto spec = ParseWorkloadSpec(R"({
-    "name": "x", "root": "a",
-    "nodes": {
-      "a": {"op": "random_choice", "children": ["b"], "weights": [0]},
-      "b": {"op": "stats"}
-    }
-  })");
-  ASSERT_FALSE(spec.ok());
+  ExpectInvalid(ParseWorkloadSpec(MixSpec(R"({"op": "stats", "weight": 0})")),
+                "weight must be positive");
+}
+
+TEST(WorkloadSpecTest, EmptyMixRejected) {
+  ExpectInvalid(ParseWorkloadSpec(R"({"name": "x", "count": 1, "mix": {}})"),
+                "non-empty 'mix'");
+}
+
+// Setup and mix ops share the stats namespace.
+TEST(WorkloadSpecTest, DuplicateOpNameRejected) {
+  ExpectInvalid(ParseWorkloadSpec(R"({
+    "name": "x", "count": 1,
+    "setup": {"a": {"op": "stats"}},
+    "mix": {"a": {"op": "stats", "weight": 1}}
+  })"),
+                "duplicate op 'a'");
 }
 
 TEST(WorkloadSpecTest, OpNeedsExactlyOnePayloadSource) {
-  auto none = ParseWorkloadSpec(R"({
-    "name": "x", "root": "a",
-    "nodes": {"a": {"op": "eval", "doc": "d"}}
-  })");
-  ASSERT_FALSE(none.ok());
-  EXPECT_NE(none.status().message().find("exactly one payload source"),
-            std::string::npos);
-  auto two = ParseWorkloadSpec(R"({
-    "name": "x", "root": "a",
-    "generators": {"g": {"kind": "fuzz_pattern"}},
-    "nodes": {"a": {"op": "eval", "doc": "d", "text": "t", "generator": "g"}}
-  })");
-  ASSERT_FALSE(two.ok());
+  ExpectInvalid(
+      ParseWorkloadSpec(MixSpec(R"({"op": "eval", "weight": 1, "doc": "d"})")),
+      "exactly one payload source");
+  auto two = ParseWorkloadSpec(
+      MixSpec(R"({"op": "eval", "weight": 1, "doc": "d", "text": "t",
+                  "generator": "g"})",
+              R"(, "generators": {"g": {"kind": "fuzz_pattern"}})"));
+  ExpectInvalid(two, "exactly one payload source");
 }
 
 TEST(WorkloadSpecTest, UnknownGeneratorKindRejected) {
-  auto spec = ParseWorkloadSpec(R"({
-    "name": "x", "root": "a",
-    "generators": {"g": {"kind": "quantum_noise"}},
-    "nodes": {"a": {"op": "stats"}}
-  })");
-  ASSERT_FALSE(spec.ok());
-  EXPECT_NE(spec.status().message().find("quantum_noise"), std::string::npos);
+  ExpectInvalid(ParseWorkloadSpec(MixSpec(
+                    R"({"op": "stats", "weight": 1})",
+                    R"(, "generators": {"g": {"kind": "quantum_noise"}})")),
+                "quantum_noise");
 }
 
 TEST(WorkloadSpecTest, UnknownGeneratorReferenceRejected) {
-  auto spec = ParseWorkloadSpec(R"({
-    "name": "x", "root": "a",
-    "nodes": {"a": {"op": "eval", "doc": "d", "generator": "ghost"}}
-  })");
-  ASSERT_FALSE(spec.ok());
-  EXPECT_NE(spec.status().message().find("ghost"), std::string::npos);
+  ExpectInvalid(ParseWorkloadSpec(MixSpec(
+                    R"({"op": "eval", "weight": 1, "doc": "d",
+                        "generator": "ghost"})")),
+                "ghost");
 }
 
 TEST(WorkloadSpecTest, MissingPayloadFileRejected) {
-  auto spec = ParseWorkloadSpec(R"({
-    "name": "x", "root": "a",
-    "nodes": {"a": {"op": "load", "doc": "d", "file": "no/such/file.xml"}}
-  })");
-  ASSERT_FALSE(spec.ok());
-  EXPECT_NE(spec.status().message().find("no/such/file.xml"),
-            std::string::npos);
+  ExpectInvalid(ParseWorkloadSpec(MixSpec(
+                    R"({"op": "load", "weight": 1, "doc": "d",
+                        "file": "no/such/file.xml"})")),
+                "no/such/file.xml");
 }
 
-TEST(WorkloadSpecTest, NestedWorkloadParsesAndOverNestingRejected) {
-  auto nested = ParseWorkloadSpec(R"({
-    "name": "outer", "root": "sub",
-    "nodes": {
-      "sub": {"op": "workload", "spec": {
-        "name": "inner", "root": "a",
-        "nodes": {"a": {"op": "stats"}}
-      }}
-    }
-  })");
-  ASSERT_TRUE(nested.ok()) << nested.status().ToString();
-  const WorkloadNode& sub = nested->nodes[nested->FindNode("sub")];
-  ASSERT_EQ(sub.kind, NodeKind::kWorkload);
-  ASSERT_NE(sub.sub, nullptr);
-  EXPECT_EQ(sub.sub->name, "inner");
+// Integers from the spec land in int and uint32 fields; a value beyond the
+// field is rejected with the key's name instead of wrapping.
+TEST(WorkloadSpecTest, IntegersBeyondTheirFieldRejected) {
+  ExpectInvalid(
+      ParseWorkloadSpec(MixSpec(R"({"op": "stats", "weight": 1})",
+                                R"(, "chaos": {"seed": 1, "read_stall": 100,
+                                     "call_timeout_ms": 2147483648})")),
+      "call_timeout_ms must be at most 2147483647");
+  ExpectInvalid(
+      ParseWorkloadSpec(MixSpec(
+          R"({"op": "stats", "weight": 1})",
+          R"(, "generators": {"g": {"kind": "exam_doc",
+                                    "candidates": 4294967296}})")),
+      "candidates must be at most 4294967295");
+  ExpectInvalid(
+      ParseWorkloadSpec(MixSpec(
+          R"({"op": "stats", "weight": 1})",
+          R"(, "generators": {"g": {"kind": "fuzz_xml",
+                                    "max_xml_nodes": 4294967297}})")),
+      "max_xml_nodes must be at most 4294967295");
+  ExpectInvalid(
+      ParseWorkloadSpec(MixSpec(R"({"op": "stats", "weight": 4294967296})")),
+      "weight must be at most 4294967295");
+  ExpectInvalid(ParseWorkloadSpec(MixSpec(
+                    R"({"op": "eval", "weight": 1, "doc": "d", "text": "t",
+                        "max_memory_mb": 9007199254740992})")),
+                "max_memory_mb must be at most");
 
-  // Build a spec nested beyond the cap.
-  std::string inner = R"({"name": "leaf", "root": "a",
-                          "nodes": {"a": {"op": "stats"}}})";
-  for (int i = 0; i < 10; ++i) {
-    inner = "{\"name\": \"lvl" + std::to_string(i) +
-            "\", \"root\": \"w\", \"nodes\": {\"w\": "
-            "{\"op\": \"workload\", \"spec\": " + inner + "}}}";
-  }
-  auto too_deep = ParseWorkloadSpec(inner);
-  ASSERT_FALSE(too_deep.ok());
-  EXPECT_EQ(too_deep.status().code(), StatusCode::kResourceExhausted);
+  // The largest values that fit still parse.
+  auto at_max = ParseWorkloadSpec(MixSpec(
+      R"({"op": "stats", "weight": 4294967295})",
+      R"(, "chaos": {"seed": 1, "read_stall": 100,
+                     "call_timeout_ms": 2147483647},
+         "generators": {"g": {"kind": "fuzz_xml",
+                               "max_xml_nodes": 4294967295}})"));
+  ASSERT_TRUE(at_max.ok()) << at_max.status().ToString();
+  EXPECT_EQ(at_max->chaos_call_timeout_ms, 2147483647);
+  EXPECT_EQ(at_max->generators[0].text_params.max_xml_nodes, 4294967295u);
+  EXPECT_EQ(at_max->mix[0].weight, 4294967295u);
 }
 
 TEST(WorkloadSpecTest, BudgetFieldsParse) {
-  auto spec = ParseWorkloadSpec(R"({
-    "name": "x", "root": "a",
-    "nodes": {
-      "a": {"op": "eval", "doc": "d", "text": "t",
-            "deadline_ms": 250, "max_states": 1000, "max_steps": 5,
-            "max_memory_mb": 16}
-    }
-  })");
+  auto spec = ParseWorkloadSpec(MixSpec(
+      R"({"op": "eval", "weight": 1, "doc": "d", "text": "t",
+          "deadline_ms": 250, "max_states": 1000, "max_steps": 5,
+          "max_memory_mb": 16})"));
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  const WorkloadNode& a = spec->nodes[0];
+  const WorkloadOp& a = spec->mix[0];
   EXPECT_EQ(a.budget.deadline_ms, 250);
   EXPECT_EQ(a.budget.max_automaton_states, 1000);
   EXPECT_EQ(a.budget.max_steps, 5);
   EXPECT_EQ(a.budget.max_memory_bytes, int64_t{16} << 20);
 }
 
-// Golden parse of the committed smoke spec — the exact shape the load and
-// chaos CI legs replay.
+// Golden parse of the committed smoke spec — the exact shape the load CI
+// leg replays.
 TEST(WorkloadSpecTest, GoldenSmokeSpecParses) {
   auto spec = LoadWorkloadSpecFile(SmokeSpecPath());
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   EXPECT_EQ(spec->name, "smoke");
   EXPECT_EQ(spec->tenant, "smoke");
-  EXPECT_EQ(spec->nodes.size(), 11u);
+  EXPECT_EQ(spec->count, 480u);
   ASSERT_EQ(spec->generators.size(), 2u);
   EXPECT_EQ(spec->generators[0].name, "gen_pattern");
   EXPECT_EQ(spec->generators[0].kind, "fuzz_pattern");
@@ -298,23 +262,25 @@ TEST(WorkloadSpecTest, GoldenSmokeSpecParses) {
   EXPECT_EQ(spec->generators[1].exam_candidates, 8u);
 
   ASSERT_EQ(spec->setup.size(), 1u);
-  EXPECT_EQ(spec->setup[0], spec->FindNode("load_exam"));
-  const WorkloadNode& load_exam = spec->nodes[spec->FindNode("load_exam")];
-  EXPECT_EQ(load_exam.kind, NodeKind::kLoad);
+  const WorkloadOp& load_exam = spec->setup[0];
+  EXPECT_EQ(load_exam.name, "load_exam");
+  EXPECT_EQ(load_exam.kind, OpKind::kLoad);
   // The "file" payload is inlined at parse time.
   EXPECT_NE(load_exam.text.find("<session>"), std::string::npos);
 
-  const WorkloadNode& main_node = spec->nodes[spec->root];
-  EXPECT_EQ(main_node.kind, NodeKind::kLoop);
-  EXPECT_EQ(main_node.count, 120u);
-  const WorkloadNode& mix = spec->nodes[spec->FindNode("mix")];
-  ASSERT_EQ(mix.kind, NodeKind::kRandomChoice);
-  ASSERT_EQ(mix.children.size(), 3u);
-  EXPECT_EQ(mix.weights, (std::vector<uint64_t>{5, 3, 2}));
-  const WorkloadNode& eval_fuzz = spec->nodes[spec->FindNode("eval_fuzz")];
-  EXPECT_EQ(eval_fuzz.generator, 0u);  // gen_pattern
-  const WorkloadNode& matrix = spec->nodes[spec->FindNode("small_matrix")];
-  ASSERT_EQ(matrix.kind, NodeKind::kMatrix);
+  std::vector<std::string> names;
+  std::vector<uint64_t> weights;
+  for (const WorkloadOp& op : spec->mix) {
+    names.push_back(op.name);
+    weights.push_back(op.weight);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"eval_marks", "check_rank_fd",
+                                             "eval_fuzz", "reload_scratch",
+                                             "server_stats", "small_matrix"}));
+  EXPECT_EQ(weights, (std::vector<uint64_t>{60, 36, 24, 15, 20, 5}));
+  EXPECT_EQ(spec->mix[2].generator, 0u);  // eval_fuzz draws from gen_pattern
+  const WorkloadOp& matrix = spec->mix[5];
+  ASSERT_EQ(matrix.kind, OpKind::kMatrix);
   EXPECT_EQ(matrix.fd_texts.size(), 1u);
   EXPECT_EQ(matrix.class_texts.size(), 1u);
 }
@@ -323,18 +289,22 @@ TEST(WorkloadSpecTest, GoldenSoakSpecParses) {
   auto spec = LoadWorkloadSpecFile(std::string(RTP_EXAMPLES_WORKLOADS_DIR) +
                                    "/soak.json");
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  const WorkloadNode& nested = spec->nodes[spec->FindNode("nested")];
-  ASSERT_EQ(nested.kind, NodeKind::kWorkload);
-  ASSERT_NE(nested.sub, nullptr);
-  EXPECT_EQ(nested.sub->tenant, "soak-sub");
-  const WorkloadNode& main_node = spec->nodes[spec->root];
-  EXPECT_GT(main_node.duration_s, 0);
+  EXPECT_EQ(spec->count, 0u);
+  EXPECT_EQ(spec->duration_s, 1200);
+  // The third document loads in setup; the mix reloads and queries it.
+  ASSERT_EQ(spec->setup.size(), 3u);
+  EXPECT_EQ(spec->setup[2].doc, "sub");
+  uint64_t total = 0;
+  for (const WorkloadOp& op : spec->mix) total += op.weight;
+  EXPECT_EQ(total, 60u);
+  EXPECT_EQ(spec->mix.size(), 11u);
 }
 
 TEST(WorkloadSpecTest, GoldenChaosSpecParses) {
   auto spec = LoadWorkloadSpecFile(std::string(RTP_EXAMPLES_WORKLOADS_DIR) +
                                    "/chaos.json");
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_EQ(spec->count, 240u);
   EXPECT_TRUE(spec->chaos.enabled());
   // The chaos CI leg relies on the spec injecting every failing kind plus
   // the benign perturbations — keep all seven rates nonzero.
@@ -351,11 +321,10 @@ TEST(WorkloadSpecTest, GoldenChaosSpecParses) {
 }
 
 TEST(WorkloadGeneratorTest, FuzzGeneratorsAreSeedDeterministic) {
-  auto spec = ParseWorkloadSpec(R"({
-    "name": "x", "root": "a",
-    "generators": {"g": {"kind": "fuzz_pattern", "num_labels": 3}},
-    "nodes": {"a": {"op": "eval", "doc": "d", "generator": "g"}}
-  })");
+  auto spec = ParseWorkloadSpec(
+      MixSpec(R"({"op": "eval", "weight": 1, "doc": "d", "generator": "g"})",
+              R"(, "generators": {"g": {"kind": "fuzz_pattern",
+                                        "num_labels": 3}})"));
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   auto gen1 = CreateGenerator(spec->generators[0]);
   auto gen2 = CreateGenerator(spec->generators[0]);

@@ -1,21 +1,20 @@
 // rtp_load — declarative load harness for rtpd (docs/WORKLOADS.md).
 //
 //   rtp_load --spec=FILE --socket=PATH [--threads=N] [--seed=S]
-//            [--duration-s=D] [--out=FILE] [--counts-out=FILE]
-//            [--allow-errors] [--quiet]
+//            [--counts-out=FILE] [--allow-errors] [--quiet]
 //
 // Parses a JSON workload spec (examples/workloads/), drives the rtpd
-// socket closed-loop with N client threads, and reports per-node count /
-// mean / min / max / stddev / p50 / p99 latency. --out writes bench-JSON
-// lines in the format the bench/ binaries emit; --counts-out writes the
-// sorted per-node op counts (plus per-node fault-injection counts under
-// chaos) the load and chaos CI legs diff between two same-seed runs.
+// socket closed-loop with N client threads drawing from the spec's
+// weighted op mix, and reports per-op count / mean / min / max / stddev /
+// p50 / p99 latency. --counts-out writes the sorted per-op counts (plus
+// per-op fault-injection counts under chaos) the load and chaos CI legs
+// diff between two same-seed runs.
 //
 // Exit codes (docs/ROBUSTNESS.md): 0 clean run; 1 when the run completed
 // but some responses carried op-level error statuses, or executed zero
 // ops; 2 for transport failures (UNAVAILABLE / TRANSPORT_ERROR surviving
 // the client's retries) and for usage, spec, or connection errors. The
-// first failing node and its status are always printed. --allow-errors
+// first failing op and its status are always printed. --allow-errors
 // relaxes 1 and 2 back to 0 when the run itself completed with ops > 0 —
 // the chaos CI leg uses it, since injected faults are supposed to surface
 // as structured errors.
@@ -39,18 +38,15 @@ int Usage(const char* detail = nullptr) {
       "flags: --threads=N      client threads (default 4)\n"
       "       --seed=S         root seed; same spec+seed+threads => same\n"
       "                        per-thread op sequence (default 42)\n"
-      "       --duration-s=D   wall-clock cap; 0 = run spec to completion\n"
-      "       --out=FILE       append bench-JSON result lines\n"
-      "       --counts-out=FILE  write sorted per-node op counts\n"
+      "       --counts-out=FILE  write sorted per-op counts\n"
       "       --allow-errors   exit 0 despite op/transport errors as long\n"
       "                        as the run completed with ops > 0\n"
       "       --quiet          suppress the human summary\n");
   return 2;
 }
 
-bool WriteFileOrComplain(const std::string& path, const std::string& content,
-                         bool append) {
-  std::ofstream out(path, append ? std::ios::app : std::ios::trunc);
+bool WriteFileOrComplain(const std::string& path, const std::string& content) {
+  std::ofstream out(path);
   if (!out.good()) {
     std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
     return false;
@@ -63,7 +59,6 @@ bool WriteFileOrComplain(const std::string& path, const std::string& content,
 
 int main(int argc, char** argv) {
   std::string spec_path;
-  std::string out_path;
   std::string counts_path;
   bool quiet = false;
   bool allow_errors = false;
@@ -76,13 +71,6 @@ int main(int argc, char** argv) {
       const char* value = arg + std::strlen(prefix);
       char* end = nullptr;
       long long parsed = std::strtoll(value, &end, 10);
-      if (*value == '\0' || *end != '\0' || parsed < 0) return -1;
-      return parsed;
-    };
-    auto parse_double = [arg](const char* prefix) -> double {
-      const char* value = arg + std::strlen(prefix);
-      char* end = nullptr;
-      double parsed = std::strtod(value, &end);
       if (*value == '\0' || *end != '\0' || parsed < 0) return -1;
       return parsed;
     };
@@ -100,13 +88,6 @@ int main(int argc, char** argv) {
       long long seed = parse_count("--seed=");
       if (seed < 0) return Usage("--seed requires a nonnegative integer");
       options.seed = static_cast<uint64_t>(seed);
-    } else if (std::strncmp(arg, "--duration-s=", 13) == 0) {
-      options.duration_s = parse_double("--duration-s=");
-      if (options.duration_s < 0) {
-        return Usage("--duration-s requires a nonnegative number");
-      }
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      out_path = arg + 6;
     } else if (std::strncmp(arg, "--counts-out=", 13) == 0) {
       counts_path = arg + 13;
     } else if (std::strcmp(arg, "--allow-errors") == 0) {
@@ -141,22 +122,9 @@ int main(int argc, char** argv) {
                            result.elapsed_s)
                    .c_str(),
                stdout);
-    if (result.truncated) {
-      std::fputs("note: run truncated by --duration-s; per-node counts are "
-                 "not seed-reproducible\n",
-                 stdout);
-    }
-  }
-  if (!out_path.empty() &&
-      !WriteFileOrComplain(out_path,
-                           result.stats.ToBenchJsonLines(
-                               spec.name, options.threads, result.elapsed_s),
-                           /*append=*/true)) {
-    return 2;
   }
   if (!counts_path.empty() &&
-      !WriteFileOrComplain(counts_path, result.stats.ToCountsText(),
-                           /*append=*/false)) {
+      !WriteFileOrComplain(counts_path, result.stats.ToCountsText())) {
     return 2;
   }
 
@@ -167,9 +135,9 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(result.faults_injected),
                  static_cast<unsigned long long>(result.transport_errors));
   }
-  if (!result.first_error_node.empty()) {
-    std::fprintf(stderr, "first failed node: %s (%s)\n",
-                 result.first_error_node.c_str(),
+  if (!result.first_error_op.empty()) {
+    std::fprintf(stderr, "first failed op: %s (%s)\n",
+                 result.first_error_op.c_str(),
                  result.first_error.ToString().c_str());
   }
   if (result.ops == 0) {

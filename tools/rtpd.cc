@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "exec/parallel_for.h"
@@ -61,6 +62,9 @@ int Usage(const char* detail = nullptr) {
                "       --log-level=LEVEL   debug|info|warn|error|off\n");
   return 2;
 }
+
+// Upper bound of the millisecond flags, which land in int fields.
+constexpr int64_t kMaxMs = std::numeric_limits<int>::max();
 
 int64_t ParseCountFlag(const char* arg, const char* prefix) {
   const char* value = arg + std::strlen(prefix);
@@ -108,20 +112,23 @@ int main(int argc, char** argv) {
       options.max_line_bytes = static_cast<size_t>(bytes);
     } else if (std::strncmp(arg, "--idle-timeout-ms=", 18) == 0) {
       int64_t ms = ParseCountFlag(arg, "--idle-timeout-ms=");
-      if (ms < 0 || ms > (int64_t{1} << 31)) {
-        return Usage("--idle-timeout-ms requires a nonnegative integer");
+      if (ms < 0 || ms > kMaxMs) {
+        return Usage(
+            "--idle-timeout-ms requires an integer in [0, 2147483647]");
       }
       options.idle_timeout_ms = static_cast<int>(ms);
     } else if (std::strncmp(arg, "--drain-grace-ms=", 17) == 0) {
       int64_t ms = ParseCountFlag(arg, "--drain-grace-ms=");
-      if (ms < 0 || ms > (int64_t{1} << 31)) {
-        return Usage("--drain-grace-ms requires a nonnegative integer");
+      if (ms < 0 || ms > kMaxMs) {
+        return Usage(
+            "--drain-grace-ms requires an integer in [0, 2147483647]");
       }
       drain_grace_ms = static_cast<int>(ms);
     } else if (std::strncmp(arg, "--max-retry-after-ms=", 21) == 0) {
       int64_t ms = ParseCountFlag(arg, "--max-retry-after-ms=");
-      if (ms < 0 || ms > (int64_t{1} << 31)) {
-        return Usage("--max-retry-after-ms requires a nonnegative integer");
+      if (ms < 0 || ms > kMaxMs) {
+        return Usage(
+            "--max-retry-after-ms requires an integer in [0, 2147483647]");
       }
       options.max_retry_after_ms = static_cast<int>(ms);
     } else if (std::strncmp(arg, "--deadline-ms=", 14) == 0) {

@@ -44,18 +44,19 @@
 #                 docs/SERVING.md).
 #   load          builds rtpd + rtp_load + rtp_cli in the plain tree,
 #                 starts a real daemon, and runs the committed
-#                 examples/workloads/smoke.json twice with the same seed
-#                 (4 client threads). rtp_load exits non-zero on any
-#                 error-status response or zero completed ops, and the leg
-#                 diffs the two --counts-out files: same-seed runs must
-#                 produce byte-identical per-node op counts (the
-#                 reproducibility contract of docs/WORKLOADS.md).
+#                 examples/workloads/smoke.json (480 weighted draws from
+#                 one op mix per thread, 4 client threads) twice with the
+#                 same seed. rtp_load exits non-zero on any error-status
+#                 response or zero completed ops, and the leg diffs the
+#                 two --counts-out files: same-seed runs must produce
+#                 byte-identical per-op counts (the reproducibility
+#                 contract of docs/WORKLOADS.md).
 #   chaos         the fault-injection leg (docs/ROBUSTNESS.md). Two
 #                 phases: (1) a real daemon under the committed
-#                 examples/workloads/chaos.json — seeded fault injection
-#                 in serve::Client — twice with one seed, diffing the two
-#                 --counts-out files (which include the per-node
-#                 fault.<kind> injection counts), then checking that the
+#                 examples/workloads/chaos.json op mix — seeded fault
+#                 injection in serve::Client — twice with one seed,
+#                 diffing the two --counts-out files (which include the
+#                 per-op fault.<kind> injection counts), then checking that the
 #                 daemon still answers exactly as serial rtp_cli does;
 #                 (2) `ctest -R 'Chaos|Framer|Overload|Degradation'` in
 #                 the tsan tree. Every phase requires: zero hangs, zero
@@ -231,7 +232,7 @@ run_serve() {
 
 # The load leg: a real daemon under the committed smoke workload spec,
 # run twice with one seed. Reproducibility is enforced by diffing the
-# per-node op counts; rtp_load itself exits non-zero on any error-status
+# per-op counts; rtp_load itself exits non-zero on any error-status
 # response or a zero-op run.
 run_load() {
   local build_dir="${prefix}-plain"
@@ -251,18 +252,18 @@ run_load() {
       --socket="$sock" --threads=4 --seed=42 \
       --counts-out="$workdir/counts$run.txt"
   done
-  echo "==== [load] diffing per-node op counts across the two runs" >&2
+  echo "==== [load] diffing per-op counts across the two runs" >&2
   diff -u "$workdir/counts1.txt" "$workdir/counts2.txt"
   echo "==== [load] daemon still answers as serial rtp_cli does" >&2
   served_equals_serial "$build_dir" "$sock" "$workdir"
   stop_rtpd
-  echo "==== [load] same-seed runs produced identical per-node counts" >&2
+  echo "==== [load] same-seed runs produced identical per-op counts" >&2
 }
 
 # The chaos leg: a real daemon must survive the seeded fault schedule of
 # examples/workloads/chaos.json, injected by serve::Client, with every
 # fault either transparently retried or surfaced as a structured error,
-# and identical per-node fault-injection counts across same-seed runs.
+# and identical per-op fault-injection counts across same-seed runs.
 run_chaos() {
   local build_dir="${prefix}-plain"
   echo "==== [chaos] configure + build (plain)" >&2
@@ -282,7 +283,7 @@ run_chaos() {
       --socket="$sock" --threads=4 --seed=42 --allow-errors \
       --counts-out="$workdir/counts$run.txt"
   done
-  echo "==== [chaos] diffing per-node op + fault counts across runs" >&2
+  echo "==== [chaos] diffing per-op and fault counts across runs" >&2
   diff -u "$workdir/counts1.txt" "$workdir/counts2.txt"
   grep -q '\.fault\.' "$workdir/counts1.txt" || {
     echo "chaos.json run injected no faults" >&2; return 1; }
