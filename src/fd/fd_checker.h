@@ -60,7 +60,7 @@ CheckResult CheckFd(const FunctionalDependency& fd, const xml::Document& doc,
 
 // Same check over a prebuilt document snapshot; callers checking several
 // FDs against one document share the index instead of re-deriving the
-// postorder/child structure per FD. Results are identical to the Document
+// child structure per FD. Results are identical to the Document
 // overload.
 CheckResult CheckFd(const FunctionalDependency& fd,
                     const xml::DocIndex& index,

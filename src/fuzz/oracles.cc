@@ -1,7 +1,9 @@
 #include "fuzz/oracles.h"
 
+#include <map>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "automata/pattern_compiler.h"
 #include "automata/product.h"
@@ -98,7 +100,170 @@ std::string DescribeAutomaton(const automata::HedgeAutomaton& automaton) {
   return out;
 }
 
+// Delivers and Realizes as pattern/evaluator.h defines them, over the
+// Document and the map-based edge DFAs: Delivers tries every endpoint in
+// the subtree, Realizes every ordered choice of distinct children. The
+// memo only saves repeated work; it does not change what is computed.
+class DefinitionTables {
+ public:
+  DefinitionTables(const pattern::TreePattern& pattern,
+                   const xml::Document& doc)
+      : pattern_(pattern), doc_(doc) {}
+
+  bool Delivers(xml::NodeId v, pattern::PatternNodeId w, int32_t s) {
+    const auto key = std::make_tuple(v, w, s);
+    if (auto it = delivers_.find(key); it != delivers_.end()) {
+      return it->second;
+    }
+    const regex::Dfa& dfa = pattern_.edge(w).dfa();
+    bool found = false;
+    doc_.VisitFrom(v, [&](xml::NodeId u) {
+      if (found) return false;
+      std::vector<xml::NodeId> path = {u};  // u up to v
+      while (path.back() != v) path.push_back(doc_.parent(path.back()));
+      int32_t state = s;
+      for (auto it = path.rbegin(); it != path.rend(); ++it) {
+        state = dfa.Next(state, doc_.label(*it));
+      }
+      found = dfa.accepting(state) && Realizes(u, w);
+      return true;
+    });
+    return delivers_[key] = found;
+  }
+
+  bool Realizes(xml::NodeId v, pattern::PatternNodeId w) {
+    const auto key = std::make_pair(v, w);
+    if (auto it = realizes_.find(key); it != realizes_.end()) {
+      return it->second;
+    }
+    const bool found = Choose(doc_.Children(v), 0, w, 0);
+    return realizes_[key] = found;
+  }
+
+ private:
+  // Can kids[from..] deliver w's outgoing edges j.. in order, each from
+  // its initial state, on distinct children?
+  bool Choose(const std::vector<xml::NodeId>& kids, size_t from,
+              pattern::PatternNodeId w, size_t j) {
+    const std::vector<pattern::PatternNodeId>& edges = pattern_.children(w);
+    if (j == edges.size()) return true;
+    const int32_t init = pattern_.edge(edges[j]).dfa().initial();
+    for (size_t i = from; i < kids.size(); ++i) {
+      if (Delivers(kids[i], edges[j], init) && Choose(kids, i + 1, w, j + 1)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  const pattern::TreePattern& pattern_;
+  const xml::Document& doc_;
+  std::map<std::tuple<xml::NodeId, pattern::PatternNodeId, int32_t>, bool>
+      delivers_;
+  std::map<std::pair<xml::NodeId, pattern::PatternNodeId>, bool> realizes_;
+};
+
 }  // namespace
+
+Status CheckTablesVsDefinition(const pattern::TreePattern& pattern,
+                               const xml::Document& doc) {
+  const pattern::MatchTables tables = pattern::MatchTables::Build(pattern, doc);
+  auto fail = [&](const std::string& what) -> Status {
+    // A tripped ambient guard leaves partial tables — not a disagreement.
+    RTP_RETURN_IF_ERROR(guard::CurrentStatus());
+    return InternalError("region tables vs definition: " + what +
+                         "; pattern:\n" +
+                         pattern::PatternToDsl(pattern, doc.alphabet()) +
+                         "document: " + xml::WriteXml(doc, /*indent=*/false));
+  };
+  auto readable = [&](LabelId a) {
+    for (pattern::PatternNodeId w = 1; w < pattern.NumNodes(); ++w) {
+      const regex::Dfa& dfa = pattern.edge(w).dfa();
+      for (int32_t s = 0; s < dfa.NumStates(); ++s) {
+        if (dfa.Next(s, a) != regex::kDeadState) return true;
+      }
+    }
+    return false;
+  };
+
+  // The rows are exactly the region: row 0 is the root, and every other
+  // row sits in one kid range, after its parent's row.
+  std::set<xml::NodeId> live;
+  doc.Visit([&](xml::NodeId n) {
+    live.insert(n);
+    return true;
+  });
+  const uint32_t rows = static_cast<uint32_t>(tables.NumRows());
+  if (rows == 0 || tables.node(0) != doc.root()) {
+    return fail("row 0 is not the root");
+  }
+  std::set<xml::NodeId> seen;
+  std::vector<int> kid_of(rows, 0);
+  for (uint32_t r = 0; r < rows; ++r) {
+    const xml::NodeId v = tables.node(r);
+    const std::string at = "row " + std::to_string(r) + " (node " +
+                           std::to_string(v) + ")";
+    if (live.count(v) == 0) return fail(at + " is not a live node");
+    if (!seen.insert(v).second) return fail(at + " repeats a node");
+    if (tables.KidBegin(r) > tables.KidEnd(r) || tables.KidEnd(r) > rows) {
+      return fail(at + " has a kid range outside the table");
+    }
+    std::vector<xml::NodeId> kids;
+    for (uint32_t k = tables.KidBegin(r); k < tables.KidEnd(r); ++k) {
+      if (k <= r) return fail(at + " has kid row " + std::to_string(k));
+      ++kid_of[k];
+      kids.push_back(tables.node(k));
+    }
+    std::vector<xml::NodeId> expected;
+    for (xml::NodeId c : doc.Children(v)) {
+      if (readable(doc.label(c))) expected.push_back(c);
+    }
+    if (kids != expected) {
+      return fail(at + "'s kid range is not its children some edge reads");
+    }
+  }
+  for (uint32_t r = 1; r < rows; ++r) {
+    if (kid_of[r] != 1) {
+      return fail("row " + std::to_string(r) + " is in " +
+                  std::to_string(kid_of[r]) + " kid ranges");
+    }
+  }
+
+  // Every bit of every row, and the children left without a row.
+  DefinitionTables definition(pattern, doc);
+  for (uint32_t r = 0; r < rows; ++r) {
+    const xml::NodeId v = tables.node(r);
+    for (pattern::PatternNodeId w = 0; w < pattern.NumNodes(); ++w) {
+      if (tables.RealizesRow(r, w) != definition.Realizes(v, w)) {
+        return fail("RealizesRow(" + std::to_string(r) + ", " +
+                    std::to_string(w) + ") is " +
+                    (tables.RealizesRow(r, w) ? "set" : "clear"));
+      }
+    }
+    for (pattern::PatternNodeId w = 1; w < pattern.NumNodes(); ++w) {
+      for (int32_t s = 0; s < pattern.edge(w).dfa().NumStates(); ++s) {
+        if (tables.DeliversRow(r, w, s) != definition.Delivers(v, w, s)) {
+          return fail("DeliversRow(" + std::to_string(r) + ", " +
+                      std::to_string(w) + ", " + std::to_string(s) + ") is " +
+                      (tables.DeliversRow(r, w, s) ? "set" : "clear"));
+        }
+      }
+    }
+    for (xml::NodeId c : doc.Children(v)) {
+      if (readable(doc.label(c))) continue;
+      for (pattern::PatternNodeId w = 1; w < pattern.NumNodes(); ++w) {
+        for (int32_t s = 0; s < pattern.edge(w).dfa().NumStates(); ++s) {
+          if (definition.Delivers(c, w, s)) {
+            return fail("node " + std::to_string(c) + " has no row but " +
+                        "delivers edge " + std::to_string(w) +
+                        " from state " + std::to_string(s));
+          }
+        }
+      }
+    }
+  }
+  return Status::OK();
+}
 
 Status CheckDenseVsReference(const pattern::TreePattern& pattern,
                              const xml::Document& doc) {
@@ -284,6 +449,7 @@ Status RunOracleBattery(uint64_t seed, const OracleOptions& options) {
       GeneratePatternInstance(&alphabet, &rng, instance);
   for (const xml::Document& doc : docs) {
     RTP_RETURN_IF_ERROR(annotate(CheckDenseVsReference(pattern, doc)));
+    RTP_RETURN_IF_ERROR(annotate(CheckTablesVsDefinition(pattern, doc)));
   }
   RTP_RETURN_IF_ERROR(
       annotate(CheckEvalParallelVsSerial(pattern, ptrs, options.jobs)));

@@ -27,6 +27,17 @@ namespace rtp::fuzz {
 Status CheckDenseVsReference(const pattern::TreePattern& pattern,
                              const xml::Document& doc);
 
+// MatchTables' live-region rows vs Definition 2's Delivers and Realizes
+// (pattern/evaluator.h), transcribed literally over the Document:
+//   - row 0 is the root, rows are distinct live nodes, and each row's kid
+//     range holds, in sibling order, exactly the children whose label some
+//     edge DFA can move on;
+//   - every DeliversRow/RealizesRow bit equals the definition, Realizes
+//     found by exhaustive search over ordered distinct children;
+//   - a child of a region row that has no row delivers nothing.
+Status CheckTablesVsDefinition(const pattern::TreePattern& pattern,
+                               const xml::Document& doc);
+
 // EvaluateSelectedBatch at `jobs` vs one-document-at-a-time serial calls
 // (bit-identical, order included).
 Status CheckEvalParallelVsSerial(const pattern::TreePattern& pattern,

@@ -53,24 +53,51 @@ MatchTables MatchTables::BuildImpl(const TreePattern& pattern,
     t.pair_offset_[w] = pairs;
     pairs += static_cast<uint32_t>(t.edge_dfa_[w]->NumStates());
   }
-  t.num_pairs_ = pairs;
   t.pair_words_ = (pairs + 63) / 64;
   t.node_words_ = (num_template_nodes + 63) / 64;
 
-  const size_t arena = index.ArenaSize();
-  // Table shape, for profiles: rows = arena slots, columns = summed DFA
+  // The live region, breadth-first from the root; row_node_ is the queue.
+  // A child joins when some edge DFA can move on its label (memoised per
+  // label: 0 unknown, 1 dead, 2 live). Rows abandoned by a trip keep
+  // empty kid ranges.
+  std::vector<uint8_t> label_live;
+  auto live = [&](LabelId a) {
+    if (a >= label_live.size()) label_live.resize(a + 1, 0);
+    if (label_live[a] == 0) {
+      label_live[a] = 1;
+      for (PatternNodeId w = 1; w < num_template_nodes; ++w) {
+        if (t.edge_dfa_[w]->AnyLive(a)) {
+          label_live[a] = 2;
+          break;
+        }
+      }
+    }
+    return label_live[a] == 2;
+  };
+  t.row_node_.push_back(index.root());
+  for (uint32_t row = 0; row < t.row_node_.size(); ++row) {
+    if (!guard::KeepGoing()) break;
+    t.kid_begin_.push_back(static_cast<uint32_t>(t.row_node_.size()));
+    for (NodeId c : index.Children(t.row_node_[row])) {
+      if (live(index.label(c))) t.row_node_.push_back(c);
+    }
+  }
+  const size_t rows = t.row_node_.size();
+  t.kid_begin_.resize(rows + 1, static_cast<uint32_t>(rows));
+
+  // Table shape, for profiles: rows = region nodes, columns = summed DFA
   // states across the pattern's edges.
-  RTP_OBS_COUNT_N("pattern.eval.table_rows", arena);
+  RTP_OBS_COUNT_N("pattern.eval.table_rows", rows);
   RTP_OBS_COUNT_N("pattern.eval.dense.dfa_states", pairs);
-  // The bitsets are the dominant allocation: arena * (pairs + nodes) bits.
-  guard::AccountMemory(static_cast<int64_t>(arena) *
+  // The bitsets are the dominant allocation: rows * (pairs + nodes) bits.
+  guard::AccountMemory(static_cast<int64_t>(rows) *
                        static_cast<int64_t>(t.pair_words_ + t.node_words_) *
                        static_cast<int64_t>(sizeof(uint64_t)));
-  t.delivers_.assign(arena * t.pair_words_, 0);
-  t.realizes_.assign(arena * t.node_words_, 0);
+  t.delivers_.assign(rows * t.pair_words_, 0);
+  t.realizes_.assign(rows * t.node_words_, 0);
 
   // Leaf template nodes realize every document node; precompute their
-  // Realizes row mask once and restrict the per-node greedy matching to
+  // Realizes row mask once and restrict the per-row greedy matching to
   // internal template nodes.
   std::vector<uint64_t> leaf_mask(t.node_words_, 0);
   std::vector<PatternNodeId> internal_nodes;
@@ -88,40 +115,42 @@ MatchTables MatchTables::BuildImpl(const TreePattern& pattern,
 
   size_t label_skips = 0;
   std::vector<uint64_t> child_or(t.pair_words_);
-  // Tables abandoned mid-postorder stay all-zeroes for unvisited nodes —
-  // structurally valid; callers discard them via guard::CurrentStatus().
-  for (NodeId v : index.Postorder()) {
+  // Rows in reverse, so every kid row is done before its parent's. Rows
+  // abandoned by a trip stay all-zeroes — structurally valid; callers
+  // discard them via guard::CurrentStatus().
+  for (uint32_t row = static_cast<uint32_t>(rows); row-- > 0;) {
     if (!guard::KeepGoing()) break;
-    std::span<const NodeId> kids = index.Children(v);
+    const uint32_t kid_begin = t.KidBegin(row);
+    const uint32_t kid_end = t.KidEnd(row);
 
-    // OR of children's delivers bitsets.
+    // OR of the kid rows' delivers bitsets.
     std::fill(child_or.begin(), child_or.end(), 0);
-    for (NodeId c : kids) {
-      const uint64_t* row = t.delivers_.data() + c * t.pair_words_;
-      for (size_t i = 0; i < t.pair_words_; ++i) child_or[i] |= row[i];
+    for (uint32_t kid = kid_begin; kid < kid_end; ++kid) {
+      const uint64_t* kid_row = t.delivers_.data() + kid * t.pair_words_;
+      for (size_t i = 0; i < t.pair_words_; ++i) child_or[i] |= kid_row[i];
     }
 
-    // Realizes: greedy in-order assignment of children to outgoing edges.
-    uint64_t* realizes_row = t.realizes_.data() + v * t.node_words_;
+    // Realizes: greedy in-order assignment of kid rows to outgoing edges.
+    uint64_t* realizes_row = t.realizes_.data() + row * t.node_words_;
     for (size_t i = 0; i < t.node_words_; ++i) realizes_row[i] |= leaf_mask[i];
     for (PatternNodeId w : internal_nodes) {
       const std::vector<PatternNodeId>& edges = pattern.children(w);
       size_t j = 0;
-      for (NodeId c : kids) {
+      for (uint32_t kid = kid_begin; kid < kid_end; ++kid) {
         if (j == edges.size()) break;
         PatternNodeId target = edges[j];
-        if (t.Delivers(c, target, init_state[target])) ++j;
+        if (t.DeliversRow(kid, target, init_state[target])) ++j;
       }
       if (j == edges.size()) {
         realizes_row[w / 64] |= uint64_t{1} << (w % 64);
       }
     }
 
-    // Delivers: for every (edge, state-before-v) pair. An edge whose DFA
-    // cannot move any state on v's label contributes nothing — skip its
-    // whole state loop.
-    const LabelId label = index.label(v);
-    uint64_t* delivers_row = t.delivers_.data() + v * t.pair_words_;
+    // Delivers: for every (edge, state-before-the-row) pair. An edge whose
+    // DFA cannot move any state on the row's label contributes nothing —
+    // skip its whole state loop.
+    const LabelId label = index.label(t.row_node_[row]);
+    uint64_t* delivers_row = t.delivers_.data() + row * t.pair_words_;
     for (PatternNodeId w = 1; w < num_template_nodes; ++w) {
       const regex::DenseDfa& dfa = *t.edge_dfa_[w];
       const int32_t col = dfa.Column(label);

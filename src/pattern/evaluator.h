@@ -36,16 +36,25 @@ struct Mapping {
 //    list contains, in order, distinct children delivering each outgoing
 //    edge of w from its initial state.
 //
-// Building the tables costs O(|D| * |R|)-ish time and memory and answers
-// "does D contain a trace of R" directly; enumeration is then guided by the
-// tables so dead branches are never explored.
+// The tables cover the live region only. The root is in it, and so is
+// every child of a region node whose label some edge DFA can move on
+// (regex::DenseDfa::AnyLive). A node outside the region delivers nothing
+// and no delivering path passes through it, so nothing at or below it is
+// ever read, and there is no row for it. Region nodes get compact rows,
+// numbered breadth-first: row 0 is the root, a row's region children form
+// one contiguous kid range of rows, in sibling order, and every kid row
+// comes after its parent's. A pattern with a `_` or `_*` edge reads every
+// label, so its region is the whole tree. Building costs
+// O(|region| * |R|) time and memory and answers "does D contain a trace
+// of R" directly; enumeration is then guided by the tables so dead
+// branches are never explored.
 //
 // The build runs on the dense kernel: each edge's regex::DenseDfa (flat
-// column-major transition table) over an xml::DocIndex (frozen postorder /
-// child-span / label-column snapshot). The Document overload snapshots the
-// document itself; the DocIndex overload lets callers evaluating several
-// patterns or FDs against one document share a single snapshot. Outputs
-// are bit-identical either way.
+// column-major transition table) over an xml::DocIndex (frozen child-span
+// / label-column snapshot). The Document overload snapshots the document
+// itself; the DocIndex overload lets callers evaluating several patterns
+// or FDs against one document share a single snapshot. Outputs are
+// bit-identical either way.
 class MatchTables {
  public:
   static MatchTables Build(const TreePattern& pattern,
@@ -58,16 +67,23 @@ class MatchTables {
   const xml::DocIndex& index() const { return *index_; }
 
   // True iff there is at least one mapping of the pattern on the document.
-  bool HasTrace() const {
-    return Realizes(index_->root(), TreePattern::kRoot);
-  }
+  bool HasTrace() const { return RealizesRow(0, TreePattern::kRoot); }
 
-  bool Realizes(xml::NodeId v, PatternNodeId w) const {
-    return GetBit(realizes_, v, node_words_, w);
+  // Rows of the live region; row 0 is the document root.
+  size_t NumRows() const { return row_node_.size(); }
+  xml::NodeId node(uint32_t row) const { return row_node_[row]; }
+  // The region children of `row` are the rows [KidBegin(row), KidEnd(row)).
+  uint32_t KidBegin(uint32_t row) const { return kid_begin_[row]; }
+  uint32_t KidEnd(uint32_t row) const { return kid_begin_[row + 1]; }
+
+  // Realizes(node(row), w) and Delivers(node(row), w, s) as defined above;
+  // `s` is the DFA state of edge (parent(w), w) before reading the row's
+  // label.
+  bool RealizesRow(uint32_t row, PatternNodeId w) const {
+    return GetBit(realizes_, row, node_words_, w);
   }
-  // `s` is the DFA state of edge (parent(w), w) before reading v's label.
-  bool Delivers(xml::NodeId v, PatternNodeId w, int32_t s) const {
-    return GetBit(delivers_, v, pair_words_,
+  bool DeliversRow(uint32_t row, PatternNodeId w, int32_t s) const {
+    return GetBit(delivers_, row, pair_words_,
                   pair_offset_[w] + static_cast<uint32_t>(s));
   }
 
@@ -76,13 +92,9 @@ class MatchTables {
                                const xml::DocIndex& index,
                                std::shared_ptr<const xml::DocIndex> owned);
 
-  static bool GetBit(const std::vector<uint64_t>& bits, xml::NodeId v,
+  static bool GetBit(const std::vector<uint64_t>& bits, uint32_t row,
                      size_t words, uint32_t index) {
-    return (bits[v * words + index / 64] >> (index % 64)) & 1;
-  }
-  static void SetBit(std::vector<uint64_t>* bits, xml::NodeId v, size_t words,
-                     uint32_t index) {
-    (*bits)[v * words + index / 64] |= uint64_t{1} << (index % 64);
+    return (bits[row * words + index / 64] >> (index % 64)) & 1;
   }
 
   const TreePattern* pattern_ = nullptr;
@@ -90,19 +102,22 @@ class MatchTables {
   const xml::DocIndex* index_ = nullptr;
   std::vector<const regex::DenseDfa*> edge_dfa_;  // per template node; [0] null
   std::vector<uint32_t> pair_offset_;  // per template node; [0] unused
-  uint32_t num_pairs_ = 0;
   size_t pair_words_ = 0;
   size_t node_words_ = 0;
-  std::vector<uint64_t> delivers_;  // arena-indexed bitsets
+  std::vector<xml::NodeId> row_node_;  // row -> document node
+  std::vector<uint32_t> kid_begin_;    // NumRows() + 1 entries
+  std::vector<uint64_t> delivers_;     // row-indexed bitsets
   std::vector<uint64_t> realizes_;
 
   friend class MappingEnumerator;
 };
 
 // Enumerates mappings (Definition 2) of a pattern on a document, guided by
-// prebuilt MatchTables. The callbacks are templated callables (not
-// std::function), so a ForEach pass allocates nothing beyond the reused
-// task stack.
+// prebuilt MatchTables. It walks table rows and kid ranges, so it never
+// visits a node outside the live region; mappings, the assign filter and
+// callers see document node ids. The callbacks are templated callables
+// (not std::function), so a ForEach pass allocates nothing beyond the
+// reused task stack.
 class MappingEnumerator {
  public:
   explicit MappingEnumerator(const MatchTables& tables) : tables_(tables) {}
@@ -130,16 +145,16 @@ class MappingEnumerator {
   template <typename Fn>
   bool ExpandTasks(size_t task_index, Fn& fn);
   template <typename Fn>
-  bool ChooseEdge(PatternNodeId w, xml::NodeId v, size_t edge_index,
-                  size_t from_child, size_t task_index, Fn& fn);
+  bool ChooseEdge(PatternNodeId w, uint32_t row, size_t edge_index,
+                  uint32_t from_kid, size_t task_index, Fn& fn);
   template <typename Yield>
-  bool ForEachEndpoint(xml::NodeId v, PatternNodeId w, int32_t s,
+  bool ForEachEndpoint(uint32_t row, PatternNodeId w, int32_t s,
                        Yield&& yield);
 
   const MatchTables& tables_;
   AssignFilter assign_filter_;
   Mapping current_;
-  std::vector<std::pair<PatternNodeId, xml::NodeId>> tasks_;
+  std::vector<std::pair<PatternNodeId, uint32_t>> tasks_;  // (w, image row)
   size_t visited_ = 0;
   // Per-ForEach work tallies, flushed to obs counters in one batch so the
   // enumeration recursion never touches an atomic.
@@ -216,14 +231,14 @@ size_t MappingEnumerator::ForEach(Fn&& fn) {
     RTP_OBS_COUNT("pattern.eval.no_trace");
     return 0;
   }
-  const xml::NodeId root = tables_.index().root();
+  const xml::NodeId root = tables_.node(0);
   if (assign_filter_ && !assign_filter_(TreePattern::kRoot, root)) {
     return 0;
   }
   current_.image.assign(tables_.pattern().NumNodes(), xml::kInvalidNode);
   current_.image[TreePattern::kRoot] = root;
   tasks_.clear();
-  tasks_.emplace_back(TreePattern::kRoot, root);
+  tasks_.emplace_back(TreePattern::kRoot, 0);
   ExpandTasks(0, fn);
   RTP_OBS_COUNT_N("pattern.eval.mappings_visited", visited_);
   RTP_OBS_COUNT_N("pattern.eval.assignments_tried", assignments_tried_);
@@ -241,35 +256,34 @@ bool MappingEnumerator::ExpandTasks(size_t task_index, Fn& fn) {
     ++visited_;
     return fn(static_cast<const Mapping&>(current_));
   }
-  auto [w, v] = tasks_[task_index];
-  return ChooseEdge(w, v, 0, 0, task_index, fn);
+  auto [w, row] = tasks_[task_index];
+  return ChooseEdge(w, row, 0, tables_.KidBegin(row), task_index, fn);
 }
 
 template <typename Fn>
-bool MappingEnumerator::ChooseEdge(PatternNodeId w, xml::NodeId v,
-                                   size_t edge_index, size_t from_child,
+bool MappingEnumerator::ChooseEdge(PatternNodeId w, uint32_t row,
+                                   size_t edge_index, uint32_t from_kid,
                                    size_t task_index, Fn& fn) {
-  const TreePattern& pattern = tables_.pattern();
-  const xml::DocIndex& index = tables_.index();
-  const std::vector<PatternNodeId>& edges = pattern.children(w);
+  const std::vector<PatternNodeId>& edges = tables_.pattern().children(w);
   if (edge_index == edges.size()) return ExpandTasks(task_index + 1, fn);
 
   PatternNodeId target = edges[edge_index];
   int32_t init = tables_.edge_dfa_[target]->initial();
-  std::span<const xml::NodeId> kids = index.Children(v);
-  for (size_t ci = from_child; ci < kids.size(); ++ci) {
-    xml::NodeId c = kids[ci];
-    if (!tables_.Delivers(c, target, init)) continue;
+  const uint32_t kid_end = tables_.KidEnd(row);
+  for (uint32_t kid = from_kid; kid < kid_end; ++kid) {
+    if (!tables_.DeliversRow(kid, target, init)) continue;
     bool keep_going =
-        ForEachEndpoint(c, target, init, [&](xml::NodeId endpoint) {
+        ForEachEndpoint(kid, target, init, [&](uint32_t endpoint) {
+          const xml::NodeId image = tables_.node(endpoint);
           ++assignments_tried_;
-          if (assign_filter_ && !assign_filter_(target, endpoint)) {
+          if (assign_filter_ && !assign_filter_(target, image)) {
             ++assignments_filtered_;
             return true;  // skip this assignment, keep enumerating others
           }
-          current_.image[target] = endpoint;
+          current_.image[target] = image;
           tasks_.emplace_back(target, endpoint);
-          bool cont = ChooseEdge(w, v, edge_index + 1, ci + 1, task_index, fn);
+          bool cont =
+              ChooseEdge(w, row, edge_index + 1, kid + 1, task_index, fn);
           tasks_.pop_back();
           current_.image[target] = xml::kInvalidNode;
           return cont;
@@ -280,21 +294,21 @@ bool MappingEnumerator::ChooseEdge(PatternNodeId w, xml::NodeId v,
 }
 
 template <typename Yield>
-bool MappingEnumerator::ForEachEndpoint(xml::NodeId v, PatternNodeId w,
+bool MappingEnumerator::ForEachEndpoint(uint32_t row, PatternNodeId w,
                                         int32_t s, Yield&& yield) {
-  const xml::DocIndex& index = tables_.index();
   const regex::DenseDfa& dfa = *tables_.edge_dfa_[w];
   // Endpoint walks can visit far more nodes than mappings emitted, so
   // they count guard steps too (deep documents, sparse matches).
   if (!guard::KeepGoing()) return false;
-  int32_t next = dfa.Next(s, index.label(v));
+  int32_t next = dfa.Next(s, tables_.index().label(tables_.node(row)));
   if (next == regex::kDeadState) return true;
-  if (dfa.accepting(next) && tables_.Realizes(v, w)) {
-    if (!yield(v)) return false;
+  if (dfa.accepting(next) && tables_.RealizesRow(row, w)) {
+    if (!yield(row)) return false;
   }
-  for (xml::NodeId c : index.Children(v)) {
-    if (!tables_.Delivers(c, w, next)) continue;
-    if (!ForEachEndpoint(c, w, next, yield)) return false;
+  for (uint32_t kid = tables_.KidBegin(row); kid < tables_.KidEnd(row);
+       ++kid) {
+    if (!tables_.DeliversRow(kid, w, next)) continue;
+    if (!ForEachEndpoint(kid, w, next, yield)) return false;
   }
   return true;
 }

@@ -1,7 +1,5 @@
 #include "xml/doc_index.h"
 
-#include <algorithm>
-
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 
@@ -20,16 +18,12 @@ DocIndex DocIndex::Build(const Document& doc) {
   d.labels_.resize(arena);
   for (NodeId n = 0; n < arena; ++n) d.labels_[n] = doc.label(n);
 
-  // One preorder pass fills the contiguous child spans and (reversed at
-  // the end) the postorder array — the same traversal order the evaluator
-  // previously derived per build.
+  // One pass over the live tree fills the contiguous child spans.
   d.children_.reserve(arena);
-  d.postorder_.reserve(arena);
   std::vector<NodeId> stack = {d.root_};
   while (!stack.empty()) {
     NodeId v = stack.back();
     stack.pop_back();
-    d.postorder_.push_back(v);
     const size_t begin = d.children_.size();
     for (NodeId c = doc.first_child(v); c != kInvalidNode;
          c = doc.next_sibling(c)) {
@@ -37,14 +31,11 @@ DocIndex DocIndex::Build(const Document& doc) {
     }
     d.child_begin_[v] = static_cast<uint32_t>(begin);
     d.child_count_[v] = static_cast<uint32_t>(d.children_.size() - begin);
-    // Push in sibling order so they pop (and land in postorder_) with the
-    // last child first; the final reverse restores document order.
     for (size_t i = begin; i < d.children_.size(); ++i) {
       stack.push_back(d.children_[i]);
     }
   }
-  std::reverse(d.postorder_.begin(), d.postorder_.end());
-  RTP_OBS_COUNT_N("xml.doc_index.nodes_indexed", d.postorder_.size());
+  RTP_OBS_COUNT_N("xml.doc_index.nodes_indexed", d.LiveNodeCount());
   return d;
 }
 

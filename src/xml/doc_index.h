@@ -13,10 +13,9 @@ namespace rtp::xml {
 // Frozen structure-of-arrays snapshot of a Document's live tree, built
 // once and shared by every pattern / FD evaluated against the document:
 //
-//   - the postorder traversal MatchTables::Build runs over (previously
-//     re-derived from the first_child/next_sibling pointer chains on every
-//     build),
 //   - contiguous child spans (one array slice per node, in sibling order),
+//     which MatchTables::Build walks top-down from the root to find a
+//     pattern's live region,
 //   - a dense label column.
 //
 // Lifetime and invalidation: a DocIndex must not outlive its Document, and
@@ -40,10 +39,8 @@ class DocIndex {
 
   // Arena size at Build time (bitset/table sizing).
   size_t ArenaSize() const { return child_begin_.size(); }
-  size_t LiveNodeCount() const { return postorder_.size(); }
-
-  // Live nodes, children before parents, siblings in document order.
-  std::span<const NodeId> Postorder() const { return postorder_; }
+  // Every live node but the root is the child of exactly one live node.
+  size_t LiveNodeCount() const { return children_.size() + 1; }
 
   // Children of `v` in sibling order (empty for leaves and for nodes that
   // were detached at Build time).
@@ -58,7 +55,6 @@ class DocIndex {
  private:
   const Document* doc_ = nullptr;
   NodeId root_ = kInvalidNode;
-  std::vector<NodeId> postorder_;
   std::vector<uint32_t> child_begin_;  // arena-indexed slice starts
   std::vector<uint32_t> child_count_;  // arena-indexed slice lengths
   std::vector<NodeId> children_;       // all child lists, concatenated

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -54,6 +55,21 @@ class CliSocketTest : public testing::Test {
     auto server = Server::Start(options);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = std::move(server).value();
+  }
+
+  // Stops the server, then removes every file named after prefix_: the
+  // socket and any input a test wrote.
+  void TearDown() override {
+    server_.reset();
+    const std::filesystem::path dir =
+        std::filesystem::path(prefix_).parent_path();
+    const std::string stem = std::filesystem::path(prefix_).filename();
+    std::error_code ec;
+    for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+      if (entry.path().filename().string().starts_with(stem)) {
+        std::filesystem::remove(entry.path(), ec);
+      }
+    }
   }
 
   // Runs `args` serially and through --socket; both must agree.

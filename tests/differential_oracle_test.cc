@@ -15,6 +15,7 @@
 #include "fuzz/generators.h"
 #include "fuzz/oracles.h"
 #include "fuzz/small_docs.h"
+#include "pattern/evaluator.h"
 #include "workload/random_pattern.h"
 #include "xml/document.h"
 
@@ -22,13 +23,14 @@ namespace rtp {
 namespace {
 
 std::vector<xml::Document> MakeDocs(Alphabet* alphabet, uint64_t seed,
-                                    int count, uint32_t max_nodes) {
+                                    int count, uint32_t max_nodes,
+                                    uint32_t num_labels = 3) {
   std::vector<xml::Document> docs;
   Rng rng(seed);
   for (int i = 0; i < count; ++i) {
     workload::RandomTreeParams params;
     params.seed = rng.Next();
-    params.num_labels = 3;
+    params.num_labels = num_labels;
     params.max_nodes = max_nodes;
     docs.push_back(workload::GenerateRandomTree(alphabet, params));
   }
@@ -91,6 +93,39 @@ TEST_P(OracleTest, DenseMatchesReferenceEvaluation) {
       EXPECT_TRUE(status.ok()) << status.ToString();
     }
   }
+}
+
+// Region tables vs the literal definitions. The documents use a label
+// ("l3") that no pattern names, and text leaves that few patterns read, so
+// some regions are smaller than the tree; a `_` edge reads every label, so
+// its region is the whole tree. Both kinds must occur, or the oracle could
+// pass without checking one of them.
+TEST_P(OracleTest, TablesMatchDefinition) {
+  Alphabet alphabet;
+  Rng rng(GetParam() + 500);
+  fuzz::InstanceGenParams instance;
+  std::vector<xml::Document> docs =
+      MakeDocs(&alphabet, GetParam(), 4, 14, instance.num_labels + 1);
+  int smaller_region = 0;
+  int wildcard_whole_tree = 0;
+  for (int i = 0; i < 10; ++i) {
+    pattern::TreePattern pattern =
+        fuzz::GeneratePatternInstance(&alphabet, &rng, instance);
+    bool wildcard = false;
+    for (pattern::PatternNodeId w = 1; w < pattern.NumNodes(); ++w) {
+      wildcard |= pattern.edge(w).ToString(alphabet).find('_') !=
+                  std::string::npos;
+    }
+    for (const xml::Document& doc : docs) {
+      Status status = fuzz::CheckTablesVsDefinition(pattern, doc);
+      EXPECT_TRUE(status.ok()) << status.ToString();
+      const size_t rows = pattern::MatchTables::Build(pattern, doc).NumRows();
+      if (rows < doc.LiveNodeCount()) ++smaller_region;
+      if (wildcard && rows == doc.LiveNodeCount()) ++wildcard_whole_tree;
+    }
+  }
+  EXPECT_GT(smaller_region, 0);
+  EXPECT_GT(wildcard_whole_tree, 0);
 }
 
 TEST_P(OracleTest, BatchEvaluationMatchesSerial) {

@@ -240,7 +240,7 @@ TEST(GuardParserTest, XmlDepthCapReturnsResourceExhausted) {
 // One small and one large document with identical shape: items carrying a
 // key and a value leaf. The step quota is sized so that the small document
 // completes and the large one trips (MatchTables::Build polls at least
-// once per document node).
+// once per region row).
 xml::Document MakeItemDoc(Alphabet* alphabet, int items) {
   xml::Document doc(alphabet);
   for (int i = 0; i < items; ++i) {

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,8 +24,10 @@
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "pattern/evaluator.h"
+#include "pattern/pattern_parser.h"
 #include "workload/exam_generator.h"
 #include "workload/paper_patterns.h"
+#include "xml/xml_io.h"
 
 namespace rtp {
 namespace {
@@ -130,6 +134,28 @@ TEST(MetricDomainTest, CapturesTraceSpansWithNesting) {
   EXPECT_GE(spans[0].dur_ns, spans[1].dur_ns);
 }
 
+// The live region counted by walking the document: the root, and every
+// node reached through children whose label some edge DFA can move on.
+size_t RegionSize(const pattern::TreePattern& pattern,
+                  const xml::Document& doc) {
+  auto readable = [&](LabelId a) {
+    for (pattern::PatternNodeId w = 1; w < pattern.NumNodes(); ++w) {
+      const regex::Dfa& dfa = pattern.edge(w).dfa();
+      for (int32_t s = 0; s < dfa.NumStates(); ++s) {
+        if (dfa.Next(s, a) != regex::kDeadState) return true;
+      }
+    }
+    return false;
+  };
+  size_t rows = 0;
+  doc.Visit([&](xml::NodeId n) {
+    if (n != doc.root() && !readable(doc.label(n))) return false;
+    ++rows;
+    return true;
+  });
+  return rows;
+}
+
 TEST(ProfileScopeTest, NullOutputIsInert) {
   obs::ProfileScope scope("noop", nullptr);
   EXPECT_EQ(MetricDomain::Current(), nullptr);
@@ -168,7 +194,8 @@ TEST(ProfileScopeTest, ProfiledEvaluationFillsPhasesAndCounters) {
     EXPECT_TRUE(has_enumerate);
 
     EXPECT_GT(profile.CounterDelta("pattern.eval.enumerations"), 0u);
-    EXPECT_GT(profile.CounterDelta("pattern.eval.table_rows"), 0u);
+    EXPECT_EQ(profile.CounterDelta("pattern.eval.table_rows"),
+              RegionSize(parsed.pattern, doc));
 
     // The structured renderings carry the same content.
     std::string json = profile.ToJson();
@@ -191,6 +218,46 @@ TEST(ProfileScopeTest, ProfiledEvaluationFillsPhasesAndCounters) {
   ADD_FAILURE() << "root phases never covered 90% of the operation wall "
                    "time; best coverage "
                 << best_coverage;
+}
+
+// One table row per live-region node of examples/data/exam.xml, the same
+// count on every build; a `_*` edge reads every label, so its region is
+// the whole tree.
+TEST(ProfileScopeTest, TableRowsCountTheLiveRegion) {
+  SKIP_IF_OBS_DISABLED();
+  Alphabet alphabet;
+  std::ifstream in(std::string(RTP_EXAMPLES_DATA_DIR) + "/exam.xml");
+  std::stringstream text;
+  text << in.rdbuf();
+  auto doc = xml::ParseXml(&alphabet, text.str());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  auto wildcard =
+      pattern::ParsePattern(&alphabet, "root { s = _*/rank; } select s;");
+  ASSERT_TRUE(wildcard.ok()) << wildcard.status().ToString();
+
+  struct Case {
+    const char* name;
+    pattern::ParsedPattern parsed;
+    size_t rows;
+  };
+  // The root, the session and its 2 candidates, then per pattern: 2
+  // levels and 1 toBePassed; 4 exams with 3 children each; 2 levels and
+  // 1 firstJob-Year.
+  const Case cases[] = {
+      {"update_u", workload::PaperUpdateU(&alphabet), 7},
+      {"fd1", workload::PaperFd1(&alphabet), 20},
+      {"fd5", workload::PaperFd5(&alphabet), 7},
+      {"_*/rank", *wildcard, doc->LiveNodeCount()},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(RegionSize(c.parsed.pattern, *doc), c.rows) << c.name;
+    for (int build = 0; build < 2; ++build) {
+      QueryProfile profile;
+      pattern::EvaluateSelected(c.parsed.pattern, *doc, &profile);
+      EXPECT_EQ(profile.CounterDelta("pattern.eval.table_rows"), c.rows)
+          << c.name;
+    }
+  }
 }
 
 TEST(ProfileScopeTest, GuardedCheckReportsBudgetConsumption) {
