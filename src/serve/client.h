@@ -103,6 +103,8 @@ struct MatrixCell {
   int64_t product_size = 0;
   // OK, or the resource code of a per-cell budget trip.
   StatusCode status = StatusCode::kOk;
+
+  friend bool operator==(const MatrixCell&, const MatrixCell&) = default;
 };
 
 struct MatrixResult {

@@ -4,27 +4,27 @@
 // Multi-tenant corpus registry for rtpd.
 //
 // Each tenant owns a private Alphabet plus a map of named, pre-indexed
-// documents. Everything a tenant touches that mutates shared state —
-// interning labels while parsing XML / patterns / FDs, inserting or
-// dropping a corpus entry, changing the default budget — happens under
-// the tenant's shared_mutex in exclusive mode; evaluation and result
-// serialization (which only *read* the alphabet and the frozen DocIndex)
-// run under shared mode, so concurrent eval/checkfd/matrix requests of
-// one tenant proceed in parallel and requests of different tenants never
+// documents. The Alphabet locks itself (common/alphabet.h), so requests
+// parse XML, patterns, FDs and schemas into it concurrently. The tenant's
+// one mutex guards only the `docs` map and `default_budget`: it is held
+// to look up, publish or drop an entry and to read or write the budget,
+// never while parsing, evaluating or serializing. So requests of one
+// tenant run in parallel, and requests of different tenants never
 // contend at all.
 //
 // A CorpusEntry heap-pins its Document: the shared DocIndex keeps a raw
 // back-pointer to the Document (xml/doc_index.h), and Document's move
 // constructor deliberately drops the snapshot slot, so the document must
 // never relocate while the index is alive. Load warms the lazy caches
-// (preorder index, Snapshot) while still exclusive; after publication the
-// entry is immutable and readers share it lock-free via shared_ptr.
+// (preorder index, Snapshot) before it publishes the entry; after
+// publication the entry is immutable and readers share it lock-free via
+// shared_ptr.
 
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <shared_mutex>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -49,15 +49,15 @@ struct Tenant {
   explicit Tenant(std::string tenant_name);
 
   const std::string name;
+  // Internally synchronised; parsing interns into it with no tenant lock.
   Alphabet alphabet;
 
-  // Exclusive: parse phases (interning mutates the alphabet) and registry
-  // mutation. Shared: evaluation + serialization (alphabet reads).
-  std::shared_mutex mu;
+  // Guards `docs` and `default_budget`, and is held only to look up,
+  // publish or drop an entry and to read or write the budget.
+  std::mutex mu;
   std::map<std::string, std::shared_ptr<const CorpusEntry>> docs;
 
-  // Default budget for requests that carry none (set by the quota op);
-  // guarded by `mu` like the rest of the mutable state.
+  // Default budget for requests that carry none (set by the quota op).
   guard::ExecutionBudget default_budget;
 
   // Deterministic per-tenant tallies for the stats op (the obs registry is

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <exception>
 #include <optional>
+#include <utility>
 
 #include "exec/automaton_cache.h"
 #include "fd/fd_checker.h"
@@ -75,6 +76,21 @@ void AttachProfile(JsonValue* response, const obs::QueryProfile& profile) {
   auto parsed = JsonValue::Parse(profile.ToJson());
   response->Add("profile", parsed.ok() ? std::move(parsed).value()
                                        : JsonValue::Null());
+}
+
+// The tenant's entry named `doc`, or null. The tenant mutex is held for
+// the map lookup only: the entry is immutable once published.
+std::shared_ptr<const CorpusEntry> FindDoc(Tenant& tenant,
+                                           const std::string& doc) {
+  std::lock_guard<std::mutex> lock(tenant.mu);
+  auto it = tenant.docs.find(doc);
+  return it == tenant.docs.end() ? nullptr : it->second;
+}
+
+JsonValue MissingDocResponse(const Tenant& tenant, const Request& req) {
+  return MakeErrorResponse(
+      req.id, NotFoundError("tenant '" + tenant.name + "' has no document '" +
+                            req.doc + "'"));
 }
 
 }  // namespace
@@ -480,7 +496,7 @@ JsonValue Server::HandleRequest(Connection* conn, const Request& req,
 
   guard::ExecutionBudget budget = req.budget;
   if (!req.has_budget) {
-    std::shared_lock<std::shared_mutex> lock(tenant->mu);
+    std::lock_guard<std::mutex> lock(tenant->mu);
     budget = tenant->default_budget.Limited() ? tenant->default_budget
                                               : options_.default_budget;
   }
@@ -530,12 +546,11 @@ JsonValue Server::HandleLoad(Tenant& tenant, const Request& req,
   }
   obs::QueryProfile profile;
   Status status;
-  size_t live_nodes = 0;
+  std::shared_ptr<CorpusEntry> entry;
   {
-    // Exclusive: parsing interns labels into the tenant alphabet, and the
-    // lazy Document caches (preorder index, Snapshot) must be warmed
-    // before any concurrent reader can see the entry.
-    std::unique_lock<std::shared_mutex> lock(tenant.mu);
+    // Parsing interns into the self-locking tenant alphabet. The lazy
+    // Document caches (preorder index, Snapshot) are warmed here, before
+    // the entry is published, so no reader ever fills them.
     guard::GuardContext ctx(budget, cancel, arrival_ns);
     guard::ScopedGuard scope(&ctx);
     obs::ProfileScope prof("serve.load", req.profile ? &profile : nullptr);
@@ -548,13 +563,11 @@ JsonValue Server::HandleLoad(Tenant& tenant, const Request& req,
       std::shared_ptr<const xml::DocIndex> index = doc->Snapshot();
       status = guard::CurrentStatus();
       if (status.ok()) {
-        auto entry = std::make_shared<CorpusEntry>();
+        entry = std::make_shared<CorpusEntry>();
         entry->name = req.doc;
         entry->live_nodes = doc->LiveNodeCount();
         entry->index = std::move(index);
         entry->doc = std::move(doc);
-        live_nodes = entry->live_nodes;
-        tenant.docs[req.doc] = std::move(entry);  // replaces any previous
       }
     }
   }
@@ -562,6 +575,14 @@ JsonValue Server::HandleLoad(Tenant& tenant, const Request& req,
     JsonValue response = MakeErrorResponse(req.id, status);
     if (req.profile) AttachProfile(&response, profile);
     return response;
+  }
+  const size_t live_nodes = entry->live_nodes;
+  // Publishing replaces any previous entry of that name; the old one is
+  // freed outside the lock (or by its last reader).
+  std::shared_ptr<const CorpusEntry> previous;
+  {
+    std::lock_guard<std::mutex> lock(tenant.mu);
+    previous = std::exchange(tenant.docs[req.doc], std::move(entry));
   }
   JsonValue response = MakeOkResponse(req.id);
   response.Add("doc", JsonValue::String(req.doc));
@@ -577,32 +598,20 @@ JsonValue Server::HandleEval(Tenant& tenant, const Request& req,
     return MakeErrorResponse(
         req.id, InvalidArgumentError("eval requires 'doc' and 'text'"));
   }
-  std::shared_ptr<const CorpusEntry> entry;
-  std::optional<StatusOr<pattern::ParsedPattern>> parsed;
-  {
-    std::unique_lock<std::shared_mutex> lock(tenant.mu);
-    auto it = tenant.docs.find(req.doc);
-    if (it == tenant.docs.end()) {
-      return MakeErrorResponse(
-          req.id, NotFoundError("tenant '" + tenant.name +
-                                "' has no document '" + req.doc + "'"));
-    }
-    entry = it->second;
-    parsed.emplace(pattern::ParsePattern(&tenant.alphabet, req.text));
-  }
-  if (!parsed->ok()) return MakeErrorResponse(req.id, parsed->status());
+  std::shared_ptr<const CorpusEntry> entry = FindDoc(tenant, req.doc);
+  if (entry == nullptr) return MissingDocResponse(tenant, req);
+  auto parsed = pattern::ParsePattern(&tenant.alphabet, req.text);
+  if (!parsed.ok()) return MakeErrorResponse(req.id, parsed.status());
 
   obs::QueryProfile profile;
   JsonValue tuples_json = JsonValue::Array();
   size_t count = 0;
   {
-    // Shared: evaluation and serialization read the alphabet and the
-    // frozen index; loads of other documents can intern concurrently
-    // only under the exclusive lock.
-    std::shared_lock<std::shared_mutex> lock(tenant.mu);
+    // Evaluation and serialization read only the frozen index and the
+    // names of ids already interned, so they take no lock.
     guard::GuardContext ctx(budget, cancel, arrival_ns);
     guard::ScopedGuard scope(&ctx);
-    auto tuples = pattern::EvaluateSelected(parsed->value().pattern,
+    auto tuples = pattern::EvaluateSelected(parsed->pattern,
                                             *entry->index,
                                             req.profile ? &profile : nullptr);
     Status status = guard::CurrentStatus();
@@ -650,30 +659,18 @@ JsonValue Server::HandleCheckFd(Tenant& tenant, const Request& req,
     return MakeErrorResponse(
         req.id, InvalidArgumentError("checkfd requires 'doc' and 'text'"));
   }
-  std::shared_ptr<const CorpusEntry> entry;
-  std::optional<fd::FunctionalDependency> fd;
-  {
-    std::unique_lock<std::shared_mutex> lock(tenant.mu);
-    auto it = tenant.docs.find(req.doc);
-    if (it == tenant.docs.end()) {
-      return MakeErrorResponse(
-          req.id, NotFoundError("tenant '" + tenant.name +
-                                "' has no document '" + req.doc + "'"));
-    }
-    entry = it->second;
-    auto parsed = pattern::ParsePattern(&tenant.alphabet, req.text);
-    if (!parsed.ok()) return MakeErrorResponse(req.id, parsed.status());
-    auto fd_or =
-        fd::FunctionalDependency::FromParsed(std::move(parsed).value());
-    if (!fd_or.ok()) return MakeErrorResponse(req.id, fd_or.status());
-    fd.emplace(std::move(fd_or).value());
-  }
+  std::shared_ptr<const CorpusEntry> entry = FindDoc(tenant, req.doc);
+  if (entry == nullptr) return MissingDocResponse(tenant, req);
+  auto parsed = pattern::ParsePattern(&tenant.alphabet, req.text);
+  if (!parsed.ok()) return MakeErrorResponse(req.id, parsed.status());
+  auto fd_or = fd::FunctionalDependency::FromParsed(std::move(parsed).value());
+  if (!fd_or.ok()) return MakeErrorResponse(req.id, fd_or.status());
+  const fd::FunctionalDependency& fd = fd_or.value();
 
   obs::QueryProfile profile;
   fd::CheckResult result;
   std::string violation_text;
   {
-    std::shared_lock<std::shared_mutex> lock(tenant.mu);
     // The ambient request guard (arrival-anchored deadline, shared cancel
     // token) covers the check; CheckOptions deliberately carries no
     // budget, so CheckFd's own guard scope stays disengaged and its
@@ -682,10 +679,9 @@ JsonValue Server::HandleCheckFd(Tenant& tenant, const Request& req,
     guard::ScopedGuard scope(&ctx);
     fd::CheckOptions options;
     options.profile = req.profile ? &profile : nullptr;
-    result = fd::CheckFd(*fd, *entry->index, options);
+    result = fd::CheckFd(fd, *entry->index, options);
     if (result.status.ok() && !result.satisfied) {
-      violation_text =
-          result.violation->Describe(entry->index->doc(), *fd);
+      violation_text = result.violation->Describe(entry->index->doc(), fd);
     }
   }
   if (!result.status.ok()) {
@@ -717,28 +713,24 @@ JsonValue Server::HandleMatrix(Tenant& tenant, const Request& req,
   std::vector<fd::FunctionalDependency> fds;
   std::vector<update::UpdateClass> classes;
   std::optional<schema::Schema> schema;
-  {
-    std::unique_lock<std::shared_mutex> lock(tenant.mu);
-    for (const std::string& text : req.fds) {
-      auto parsed = pattern::ParsePattern(&tenant.alphabet, text);
-      if (!parsed.ok()) return MakeErrorResponse(req.id, parsed.status());
-      auto fd_or =
-          fd::FunctionalDependency::FromParsed(std::move(parsed).value());
-      if (!fd_or.ok()) return MakeErrorResponse(req.id, fd_or.status());
-      fds.push_back(std::move(fd_or).value());
-    }
-    for (const std::string& text : req.classes) {
-      auto parsed = pattern::ParsePattern(&tenant.alphabet, text);
-      if (!parsed.ok()) return MakeErrorResponse(req.id, parsed.status());
-      auto cls_or = update::UpdateClass::FromParsed(std::move(parsed).value());
-      if (!cls_or.ok()) return MakeErrorResponse(req.id, cls_or.status());
-      classes.push_back(std::move(cls_or).value());
-    }
-    if (!req.schema.empty()) {
-      auto schema_or = schema::Schema::Parse(&tenant.alphabet, req.schema);
-      if (!schema_or.ok()) return MakeErrorResponse(req.id, schema_or.status());
-      schema.emplace(std::move(schema_or).value());
-    }
+  for (const std::string& text : req.fds) {
+    auto parsed = pattern::ParsePattern(&tenant.alphabet, text);
+    if (!parsed.ok()) return MakeErrorResponse(req.id, parsed.status());
+    auto fd_or = fd::FunctionalDependency::FromParsed(std::move(parsed).value());
+    if (!fd_or.ok()) return MakeErrorResponse(req.id, fd_or.status());
+    fds.push_back(std::move(fd_or).value());
+  }
+  for (const std::string& text : req.classes) {
+    auto parsed = pattern::ParsePattern(&tenant.alphabet, text);
+    if (!parsed.ok()) return MakeErrorResponse(req.id, parsed.status());
+    auto cls_or = update::UpdateClass::FromParsed(std::move(parsed).value());
+    if (!cls_or.ok()) return MakeErrorResponse(req.id, cls_or.status());
+    classes.push_back(std::move(cls_or).value());
+  }
+  if (!req.schema.empty()) {
+    auto schema_or = schema::Schema::Parse(&tenant.alphabet, req.schema);
+    if (!schema_or.ok()) return MakeErrorResponse(req.id, schema_or.status());
+    schema.emplace(std::move(schema_or).value());
   }
 
   std::vector<const fd::FunctionalDependency*> fd_ptrs;
@@ -749,30 +741,26 @@ JsonValue Server::HandleMatrix(Tenant& tenant, const Request& req,
   for (const auto& cls : classes) class_ptrs.push_back(&cls);
 
   std::vector<obs::QueryProfile> cell_profiles;
-  std::optional<StatusOr<independence::IndependenceMatrix>> matrix_or;
-  {
-    std::shared_lock<std::shared_mutex> lock(tenant.mu);
-    independence::MatrixOptions options;
-    if (budget.Limited()) {
-      // Budgeted: per-pair guards, per-cell degradation, and the shared
-      // cancel token. The criterion bypasses the shared AutomatonCache
-      // under a guard (a tripped build must never be memoized), so the
-      // cache stays warm and un-poisoned for unbudgeted requests.
-      options.budget = budget;
-      options.cancel = cancel;
-    } else {
-      // Unbudgeted: run against the process-wide warm cache. No cancel
-      // token — wiring one would force the cache bypass and cost every
-      // fast request its warm automata to support a rare disconnect.
-      options.cache = &exec::AutomatonCache::Global();
-    }
-    if (req.profile) options.profiles = &cell_profiles;
-    matrix_or.emplace(independence::ComputeIndependenceMatrix(
-        fd_ptrs, class_ptrs, schema ? &*schema : nullptr, &tenant.alphabet,
-        options));
+  independence::MatrixOptions options;
+  if (budget.Limited()) {
+    // Budgeted: per-pair guards, per-cell degradation, and the shared
+    // cancel token. The criterion bypasses the shared AutomatonCache
+    // under a guard (a tripped build must never be memoized), so the
+    // cache stays warm and un-poisoned for unbudgeted requests.
+    options.budget = budget;
+    options.cancel = cancel;
+  } else {
+    // Unbudgeted: run against the process-wide warm cache. No cancel
+    // token — wiring one would force the cache bypass and cost every
+    // fast request its warm automata to support a rare disconnect.
+    options.cache = &exec::AutomatonCache::Global();
   }
-  if (!matrix_or->ok()) return MakeErrorResponse(req.id, matrix_or->status());
-  const independence::IndependenceMatrix& matrix = matrix_or->value();
+  if (req.profile) options.profiles = &cell_profiles;
+  auto matrix_or = independence::ComputeIndependenceMatrix(
+      fd_ptrs, class_ptrs, schema ? &*schema : nullptr, &tenant.alphabet,
+      options);
+  if (!matrix_or.ok()) return MakeErrorResponse(req.id, matrix_or.status());
+  const independence::IndependenceMatrix& matrix = matrix_or.value();
 
   size_t independent = 0;
   size_t tripped = 0;
@@ -829,7 +817,7 @@ JsonValue Server::HandleStats(const Request& req) {
     t.Add("name", JsonValue::String(tenant->name));
     size_t num_docs;
     {
-      std::shared_lock<std::shared_mutex> lock(tenant->mu);
+      std::lock_guard<std::mutex> lock(tenant->mu);
       num_docs = tenant->docs.size();
     }
     t.Add("docs", JsonValue::Int(static_cast<int64_t>(num_docs)));
@@ -855,13 +843,14 @@ JsonValue Server::HandleDrop(Tenant& tenant, const Request& req) {
     return MakeErrorResponse(req.id,
                              InvalidArgumentError("drop requires 'doc'"));
   }
-  bool dropped;
+  // The extracted entry is freed outside the lock (or by its last reader).
+  decltype(tenant.docs)::node_type dropped;
   {
-    std::unique_lock<std::shared_mutex> lock(tenant.mu);
-    dropped = tenant.docs.erase(req.doc) > 0;
+    std::lock_guard<std::mutex> lock(tenant.mu);
+    dropped = tenant.docs.extract(req.doc);
   }
   JsonValue response = MakeOkResponse(req.id);
-  response.Add("dropped", JsonValue::Bool(dropped));
+  response.Add("dropped", JsonValue::Bool(!dropped.empty()));
   return response;
 }
 
@@ -871,7 +860,7 @@ JsonValue Server::HandleQuota(Tenant& tenant, const Request& req) {
         req.id, InvalidArgumentError("quota requires a 'budget' object"));
   }
   {
-    std::unique_lock<std::shared_mutex> lock(tenant.mu);
+    std::lock_guard<std::mutex> lock(tenant.mu);
     tenant.default_budget = req.budget;
   }
   JsonValue response = MakeOkResponse(req.id);

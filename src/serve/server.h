@@ -15,9 +15,11 @@
 //     gate is the server's only concurrency control, so at most `jobs`
 //     threads run engine code.
 //   * State lives in a TenantRegistry (serve/corpus.h): per-tenant
-//     alphabet + named pre-indexed documents, exclusive-locked for parse
-//     phases and shared-locked for evaluation, so one tenant's load never
-//     stalls another tenant's queries.
+//     alphabet + named pre-indexed documents. The alphabet locks itself,
+//     and one short tenant mutex is held only to look up or publish a
+//     document and to read or write the tenant's default budget, so
+//     requests parse, evaluate and serialize with no tenant lock, and a
+//     load never stalls the queries beside it.
 //   * Every request runs under the guard machinery: the effective budget
 //     is the request's, else the tenant default (quota op), else the
 //     server default. Deadlines are anchored at request *arrival* (time

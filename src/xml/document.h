@@ -68,7 +68,7 @@ class Document {
     return AddChild(parent, label, NodeType::kAttribute, value);
   }
   NodeId AddText(NodeId parent, std::string_view value) {
-    return AddChild(parent, "#text", NodeType::kText, value);
+    return AddChild(parent, Alphabet::kTextLabel, NodeType::kText, value);
   }
 
   // Accessors. All ids must refer to live (attached) or detached-but-valid

@@ -292,7 +292,11 @@ std::string WriteXmlSubtree(const Document& doc, NodeId n, bool indent) {
   } else if (doc.label(n) == Alphabet::kRootLabel) {
     for (NodeId c = doc.first_child(n); c != kInvalidNode;
          c = doc.next_sibling(c)) {
-      WriteElement(doc, c, indent, 0, &out);
+      if (doc.type(c) == NodeType::kText) {
+        EncodeInto(doc.value(c), /*attribute=*/false, &out);
+      } else {
+        WriteElement(doc, c, indent, 0, &out);
+      }
     }
   } else {
     // Leaf: render its value.

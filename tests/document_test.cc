@@ -232,6 +232,19 @@ TEST(XmlIoTest, RoundTrip) {
   EXPECT_TRUE(ValueEqual(*doc, doc->root(), *doc2, doc2->root()));
 }
 
+// A text child of the root (a witness document or an update can make
+// one) is written as its value, like any mixed content.
+TEST(XmlIoTest, RootTextChildrenAreWrittenAsValues) {
+  Alphabet alphabet;
+  Document doc(&alphabet);
+  doc.AddText(doc.root(), "v0");
+  NodeId a = doc.AddElement(doc.root(), "a");
+  doc.AddText(a, "v1");
+  doc.AddText(a, "v2");
+  EXPECT_EQ(WriteXml(doc, /*indent=*/false), "v0<a>v1v2</a>");
+  EXPECT_EQ(WriteXml(doc), "v0<a>v1v2</a>\n");
+}
+
 TEST(XmlIoTest, SelfClosingAndComments) {
   Alphabet alphabet;
   auto doc = ParseXml(&alphabet,

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -25,11 +26,14 @@
 #include "fd/fd_checker.h"
 #include "fd/functional_dependency.h"
 #include "fuzz/generators.h"
+#include "independence/matrix.h"
 #include "obs/metrics.h"
 #include "pattern/evaluator.h"
 #include "pattern/pattern_parser.h"
+#include "schema/schema.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "update/update_class.h"
 #include "xml/xml_io.h"
 
 namespace rtp::serve {
@@ -133,6 +137,49 @@ OracleCheckFd OracleCheck(const std::string& xml_text,
   EXPECT_TRUE(result.status.ok());
   return {result.satisfied, static_cast<int64_t>(result.num_mappings),
           static_cast<int64_t>(result.num_groups)};
+}
+
+// Serial library oracle for matrix: each cell's verdict and product size,
+// from a private alphabet and no shared cache.
+std::vector<MatrixCell> OracleMatrix(const std::vector<std::string>& fd_texts,
+                                     const std::vector<std::string>& classes,
+                                     const std::string& schema_text) {
+  Alphabet alphabet;
+  std::vector<fd::FunctionalDependency> fds;
+  for (const std::string& text : fd_texts) {
+    auto parsed_or = pattern::ParsePattern(&alphabet, text);
+    EXPECT_TRUE(parsed_or.ok());
+    auto fd_or = fd::FunctionalDependency::FromParsed(std::move(*parsed_or));
+    EXPECT_TRUE(fd_or.ok());
+    fds.push_back(std::move(fd_or).value());
+  }
+  std::vector<update::UpdateClass> updates;
+  for (const std::string& text : classes) {
+    auto parsed_or = pattern::ParsePattern(&alphabet, text);
+    EXPECT_TRUE(parsed_or.ok());
+    auto cls_or = update::UpdateClass::FromParsed(std::move(*parsed_or));
+    EXPECT_TRUE(cls_or.ok());
+    updates.push_back(std::move(cls_or).value());
+  }
+  std::optional<schema::Schema> schema;
+  if (!schema_text.empty()) {
+    auto schema_or = schema::Schema::Parse(&alphabet, schema_text);
+    EXPECT_TRUE(schema_or.ok());
+    schema.emplace(std::move(schema_or).value());
+  }
+  std::vector<const fd::FunctionalDependency*> fd_ptrs;
+  for (const auto& fd : fds) fd_ptrs.push_back(&fd);
+  std::vector<const update::UpdateClass*> class_ptrs;
+  for (const auto& cls : updates) class_ptrs.push_back(&cls);
+  auto matrix_or = independence::ComputeIndependenceMatrix(
+      fd_ptrs, class_ptrs, schema ? &*schema : nullptr, &alphabet);
+  EXPECT_TRUE(matrix_or.ok());
+  std::vector<MatrixCell> cells;
+  for (const independence::MatrixEntry& entry : matrix_or->entries) {
+    cells.push_back({entry.fd_index, entry.class_index, entry.independent,
+                     entry.product_size, entry.status.code()});
+  }
+  return cells;
 }
 
 TEST(ServeTest, RoundTripMatchesSerialOracle) {
@@ -265,6 +312,120 @@ TEST(ServeTest, ConcurrentClientsAreBitIdenticalToSerialOracle) {
     EXPECT_EQ(t.errors, 0);
     EXPECT_EQ(t.trips, 0);
   }
+
+  ts.server->Stop();
+}
+
+// Parsing interns into the tenant's alphabet with no tenant lock. Writers
+// send texts that name labels no document holds, and load a document
+// of their own, while readers run the oracle queries on one tenant;
+// every reply equals the serial in-process oracle.
+TEST(ServeTest, FreshLabelsBesideReadersMatchSerialOracle) {
+  ServerOptions options;
+  options.jobs = 4;
+  TestServer ts = StartTestServer(options);
+  ASSERT_NE(ts.server, nullptr);
+
+  const std::string xml = ReadFileOrDie(ExamXmlPath());
+  const std::string pattern = ReadFileOrDie(DataPath("update_u.pattern"));
+  const std::string fd1 = ReadFileOrDie(DataPath("fd1.fd"));
+  const std::string fd5 = ReadFileOrDie(DataPath("fd5.fd"));
+  const std::string schema = ReadFileOrDie(DataPath("exam.schema"));
+  {
+    Client loader = ConnectOrDie(ts.socket_path);
+    ASSERT_TRUE(loader.Load("alpha", "exam", xml).ok());
+  }
+  const auto expected_tuples = OracleEval(xml, pattern);
+  const OracleCheckFd expected_fd1 = OracleCheck(xml, fd1);
+  const OracleCheckFd expected_fd5 = OracleCheck(xml, fd5);
+  const std::vector<MatrixCell> expected_matrix =
+      OracleMatrix({fd1, fd5}, {pattern}, schema);
+
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  constexpr int kIterations = 6;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      Client client = ConnectOrDie(ts.socket_path);
+      const std::string second = "second" + std::to_string(w);
+      for (int i = 0; i < kIterations; ++i) {
+        const std::string g =
+            "ghost" + std::to_string(w) + "n" + std::to_string(i);
+        // Fresh label in a union: the answer equals plain `level`'s.
+        const std::string eval_text =
+            "root { session/candidate { s = (level|" + g + "); } } select s;";
+        auto eval_or = client.Eval("alpha", "exam", eval_text);
+        if (!eval_or.ok() || eval_or->tuples != OracleEval(xml, eval_text)) {
+          ++failures;
+        }
+        const std::string fd_text =
+            "root { c = session { x = candidate { p = level; q = " + g +
+            "; } } } select p[V], q[V]; context c;";
+        const OracleCheckFd expect = OracleCheck(xml, fd_text);
+        auto check_or = client.CheckFd("alpha", "exam", fd_text);
+        if (!check_or.ok() || check_or->satisfied != expect.satisfied ||
+            check_or->mappings != expect.mappings ||
+            check_or->groups != expect.groups) {
+          ++failures;
+        }
+        // Selects the fresh label: an update class here, and an eval on
+        // the writer's own document below.
+        const std::string ghost_text =
+            "root { session/candidate { s = " + g + "; } } select s;";
+        auto matrix_or =
+            client.Matrix("alpha", {fd1, fd_text}, {ghost_text}, schema);
+        if (!matrix_or.ok() ||
+            matrix_or->cells !=
+                OracleMatrix({fd1, fd_text}, {ghost_text}, schema)) {
+          ++failures;
+        }
+        // A document of this writer's own, with labels no other holds.
+        const std::string second_xml = "<session><candidate><level>A</level><" +
+                                       g + ">v" + std::to_string(i) + "</" +
+                                       g + "></candidate></session>";
+        if (!client.Load("alpha", second, second_xml).ok()) ++failures;
+        auto second_or = client.Eval("alpha", second, ghost_text);
+        if (!second_or.ok() ||
+            second_or->tuples != OracleEval(second_xml, ghost_text)) {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      Client client = ConnectOrDie(ts.socket_path);
+      for (int i = 0; i < kIterations; ++i) {
+        auto eval_or = client.Eval("alpha", "exam", pattern);
+        if (!eval_or.ok() || eval_or->tuples != expected_tuples) ++failures;
+        for (const std::string* text : {&fd1, &fd5}) {
+          const OracleCheckFd& expect =
+              text == &fd1 ? expected_fd1 : expected_fd5;
+          auto check_or = client.CheckFd("alpha", "exam", *text);
+          if (!check_or.ok() || check_or->satisfied != expect.satisfied ||
+              check_or->mappings != expect.mappings ||
+              check_or->groups != expect.groups) {
+            ++failures;
+          }
+        }
+        auto matrix_or = client.Matrix("alpha", {fd1, fd5}, {pattern}, schema);
+        if (!matrix_or.ok() || matrix_or->cells != expected_matrix) {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  Client client = ConnectOrDie(ts.socket_path);
+  auto stats_or = client.Stats();
+  ASSERT_TRUE(stats_or.ok());
+  ASSERT_EQ(stats_or->size(), 1u);
+  EXPECT_EQ((*stats_or)[0].docs, 1 + kWriters);
+  EXPECT_EQ((*stats_or)[0].errors, 0);
 
   ts.server->Stop();
 }

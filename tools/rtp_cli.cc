@@ -171,8 +171,9 @@ int CmdValidate(Alphabet* alphabet, const std::string& schema_path,
   return valid ? 0 : 1;
 }
 
-// Parses every XML file serially (parsing interns labels into the shared
-// alphabet, which is not thread-safe); evaluation then runs in parallel.
+// Parses every XML file serially, so labels are interned into the shared
+// alphabet in the same order on every run; evaluation then runs in
+// parallel.
 StatusOr<std::vector<xml::Document>> ParseXmlFiles(
     Alphabet* alphabet, const std::vector<std::string>& paths) {
   std::vector<xml::Document> docs;
