@@ -4,7 +4,6 @@
 
 #include "guard/guard.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "obs/trace.h"
 #include "regex/regex_ast.h"
 
@@ -66,7 +65,7 @@ int64_t HedgeAutomaton::TotalSize() const {
 std::vector<std::vector<StateId>> HedgeAutomaton::Run(
     const Document& doc) const {
   RTP_OBS_COUNT("automata.run.documents");
-  RTP_OBS_SCOPED_TIMER("automata.run.ns");
+  RTP_PHASE("automata.run");
   std::vector<std::vector<StateId>> assigned(doc.ArenaSize());
 
   // Postorder traversal.
@@ -149,7 +148,7 @@ constexpr size_t kPollBatch = 256;
 }  // namespace
 
 HedgeAutomaton::Saturation HedgeAutomaton::Saturate() const {
-  RTP_OBS_SCOPED_TIMER("automata.emptiness.saturate_ns");
+  RTP_PHASE("automata.emptiness.saturate");
   const StateId num_states = NumStates();
   const int32_t num_transitions = static_cast<int32_t>(transitions_.size());
 
@@ -309,8 +308,7 @@ HedgeAutomaton::Saturation HedgeAutomaton::Saturate() const {
 
 bool HedgeAutomaton::IsEmptyLanguage() const {
   RTP_OBS_COUNT("automata.emptiness.checks");
-  RTP_OBS_SCOPED_TIMER("automata.emptiness.ns");
-  RTP_OBS_TRACE_SPAN("automata.IsEmptyLanguage");
+  RTP_PHASE("automata.emptiness");
   Saturation saturation = Saturate();
   if (!guard::Ok()) return false;
   return !saturation.root_word.has_value();

@@ -6,7 +6,6 @@
 #include "guard/failpoints.h"
 #include "guard/guard.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "obs/trace.h"
 
 namespace rtp::automata {
@@ -188,8 +187,7 @@ class Compiler {
 
 HedgeAutomaton CompilePattern(const TreePattern& pattern, MarkMode mode) {
   RTP_OBS_COUNT("automata.compile.patterns");
-  RTP_OBS_SCOPED_TIMER("automata.compile.ns");
-  RTP_OBS_TRACE_SPAN("automata.CompilePattern");
+  RTP_PHASE("automata.compile");
   RTP_FAILPOINT("automata.compile");
   HedgeAutomaton automaton = Compiler(pattern, mode).Compile();
   RTP_OBS_COUNT_N("automata.compile.states_built", automaton.NumStates());

@@ -6,7 +6,6 @@
 #include "guard/failpoints.h"
 #include "guard/guard.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "obs/trace.h"
 
 namespace rtp::automata {
@@ -120,8 +119,7 @@ regex::Dfa ProductHorizontal(const regex::Dfa& ha, const regex::Dfa& hb,
 
 HedgeAutomaton Intersect(const HedgeAutomaton& a, const HedgeAutomaton& b) {
   RTP_OBS_COUNT("automata.product.intersections");
-  RTP_OBS_SCOPED_TIMER("automata.product.ns");
-  RTP_OBS_TRACE_SPAN("automata.Intersect");
+  RTP_PHASE("automata.product");
   RTP_FAILPOINT("automata.product");
   int32_t na = a.NumStates();
   int32_t nb = b.NumStates();
@@ -167,8 +165,7 @@ HedgeAutomaton Intersect(const HedgeAutomaton& a, const HedgeAutomaton& b) {
 
 HedgeAutomaton MeetProduct(const HedgeAutomaton& a, const HedgeAutomaton& b) {
   RTP_OBS_COUNT("automata.product.meet_products");
-  RTP_OBS_SCOPED_TIMER("automata.product.ns");
-  RTP_OBS_TRACE_SPAN("automata.MeetProduct");
+  RTP_PHASE("automata.product");
   RTP_FAILPOINT("automata.product");
   int32_t na = a.NumStates();
   int32_t nb = b.NumStates();

@@ -8,7 +8,6 @@
 #include "guard/failpoints.h"
 #include "guard/guard.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "obs/trace.h"
 #include "xml/value_equality.h"
 #include "xml/xml_io.h"
@@ -64,10 +63,9 @@ CheckResult CheckFdImpl(const FunctionalDependency& fd,
                         pattern::MatchTables tables,
                         const CheckOptions& options) {
   RTP_OBS_COUNT("fd.check.calls");
-  RTP_OBS_SCOPED_TIMER("fd.check.ns");
   // Enumeration + grouping; table construction runs (and is spanned)
   // before this via the MatchTables::Build argument.
-  RTP_OBS_TRACE_SPAN("fd.group_and_compare");
+  RTP_PHASE("fd.group_and_compare");
   RTP_FAILPOINT("fd.check");
   const Document& doc = tables.doc();
   CheckResult result;
@@ -166,7 +164,7 @@ std::vector<CheckResult> CheckFdBatch(
     const std::vector<const xml::Document*>& docs,
     const BatchCheckOptions& options) {
   RTP_OBS_COUNT("fd.check.batches");
-  RTP_OBS_SCOPED_TIMER("fd.check.batch_ns");
+  RTP_PHASE("fd.check.batch");
   if (options.profiles != nullptr) {
     options.profiles->assign(docs.size(), obs::QueryProfile());
   }

@@ -5,7 +5,7 @@
 
 #include "common/hashing.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
+#include "obs/trace.h"
 #include "pattern/evaluator.h"
 #include "xml/value_equality.h"
 
@@ -25,7 +25,7 @@ FdIndex FdIndex::Build(const FunctionalDependency& fd, const Document& doc) {
 FdIndex FdIndex::Build(const FunctionalDependency& fd,
                        const xml::DocIndex& doc_index) {
   RTP_OBS_COUNT("fd.index.builds");
-  RTP_OBS_SCOPED_TIMER("fd.index.build_ns");
+  RTP_PHASE("fd.index.build");
   FdIndex index(fd);
   // A template branch hanging off the root-to-context chain (outside the
   // context subtree) makes updates in unrelated regions able to create or
@@ -115,7 +115,7 @@ void FdIndex::RefreshVerdict() {
 bool FdIndex::Revalidate(const Document& doc,
                          const std::vector<NodeId>& updated_roots) {
   RTP_OBS_COUNT("fd.index.revalidations");
-  RTP_OBS_SCOPED_TIMER("fd.index.revalidate_ns");
+  RTP_PHASE("fd.index.revalidate");
   // The update mutated the tree, which dropped the document's cached
   // snapshot; this rebuilds it once for the pass (and for any later
   // evaluation against the unchanged document).

@@ -8,7 +8,6 @@
 #include "guard/failpoints.h"
 #include "guard/guard.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "obs/trace.h"
 #include "pattern/evaluator.h"
 
@@ -22,8 +21,7 @@ StatusOr<CriterionResult> CheckIndependence(
     const schema::Schema* schema, Alphabet* alphabet,
     const CriterionOptions& options) {
   RTP_OBS_COUNT("independence.criterion.checks");
-  RTP_OBS_SCOPED_TIMER("independence.criterion.ns");
-  RTP_OBS_TRACE_SPAN("independence.CheckIndependence");
+  RTP_PHASE("independence.criterion");
   if (!update.SelectedAreLeaves()) {
     return InvalidArgumentError(
         "the criterion requires every selected node of the update class to "
@@ -46,7 +44,7 @@ StatusOr<CriterionResult> CheckIndependence(
   HedgeAutomaton fd_local;
   HedgeAutomaton u_local;
   {
-    RTP_OBS_TRACE_SPAN("independence.compile_patterns");
+    RTP_PHASE("independence.compile_patterns");
     if (options.cache != nullptr && !guard::Active()) {
       fd_shared = options.cache->GetPatternAutomaton(
           fd.pattern(), *alphabet, MarkMode::kTraceAndSelectedSubtrees);
@@ -70,7 +68,7 @@ StatusOr<CriterionResult> CheckIndependence(
   HedgeAutomaton meet;
   HedgeAutomaton l_automaton;
   {
-    RTP_OBS_TRACE_SPAN("independence.build_product");
+    RTP_PHASE("independence.build_product");
     meet = automata::MeetProduct(fd_automaton, u_automaton);
     l_automaton = automata::Intersect(meet, a_s);
   }
@@ -82,7 +80,7 @@ StatusOr<CriterionResult> CheckIndependence(
   result.schema_automaton_size = a_s.TotalSize();
   result.product_size = l_automaton.TotalSize();
   {
-    RTP_OBS_TRACE_SPAN("independence.emptiness");
+    RTP_PHASE("independence.emptiness");
     result.independent = l_automaton.IsEmptyLanguage();
   }
   // A trip during emptiness makes `independent` untrustworthy (the
@@ -96,7 +94,7 @@ StatusOr<CriterionResult> CheckIndependence(
     RTP_OBS_COUNT("independence.criterion.unknown");
   }
   if (!result.independent && options.want_conflict_candidate) {
-    RTP_OBS_TRACE_SPAN("independence.witness_synthesis");
+    RTP_PHASE("independence.witness_synthesis");
     auto witness = l_automaton.FindWitnessDocument(alphabet);
     if (witness.ok()) {
       result.conflict_candidate = std::move(witness).value();
@@ -118,7 +116,7 @@ bool IsInCriterionLanguage(const xml::DocIndex& index,
                            const schema::Schema* schema) {
   const xml::Document& doc = index.doc();
   RTP_OBS_COUNT("independence.reverify.calls");
-  RTP_OBS_SCOPED_TIMER("independence.reverify.ns");
+  RTP_PHASE("independence.reverify");
   if (schema != nullptr && !schema->Validate(doc)) return false;
 
   // Nodes the update class would update.

@@ -5,7 +5,6 @@
 
 #include "fd/fd_checker.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "obs/trace.h"
 #include "update/update_ops.h"
 
@@ -89,8 +88,7 @@ ImpactSearchResult SearchForImpact(const fd::FunctionalDependency& fd,
                                    const schema::Schema& schema,
                                    const ImpactSearchParams& params) {
   RTP_OBS_COUNT("independence.impact_search.calls");
-  RTP_OBS_SCOPED_TIMER("independence.impact_search.ns");
-  RTP_OBS_TRACE_SPAN("independence.SearchForImpact");
+  RTP_PHASE("independence.impact_search");
   ImpactSearchResult result;
   std::mt19937_64 rng(params.seed);
   // One scope for the whole search: the inner CheckFd / SelectNodes calls

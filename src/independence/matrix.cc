@@ -5,7 +5,7 @@
 #include "exec/parallel_for.h"
 #include "guard/guard.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
+#include "obs/trace.h"
 
 namespace rtp::independence {
 
@@ -78,7 +78,7 @@ StatusOr<IndependenceMatrix> ComputeIndependenceMatrix(
     const std::vector<const update::UpdateClass*>& classes,
     const schema::Schema* schema, Alphabet* alphabet,
     const MatrixOptions& options) {
-  RTP_OBS_SCOPED_TIMER("independence.matrix.ns");
+  RTP_PHASE("independence.matrix");
   IndependenceMatrix matrix;
   matrix.num_fds = fds.size();
   matrix.num_classes = classes.size();

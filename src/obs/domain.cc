@@ -1,7 +1,8 @@
 #include "obs/domain.h"
 
 #include <algorithm>
-#include <chrono>
+
+#include "guard/guard.h"
 
 namespace rtp::obs {
 
@@ -28,19 +29,9 @@ void DomainHistogramRecord(MetricDomain* domain, Histogram* histogram,
 
 }  // namespace internal
 
-namespace {
-
-uint64_t MonotonicNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
-
 MetricDomain::MetricDomain()
-    : parent_(internal::tls_domain), start_ns_(MonotonicNowNs()) {
+    : parent_(internal::tls_domain),
+      start_ns_(static_cast<uint64_t>(guard::MonotonicNowNs())) {
   internal::tls_domain = this;
 }
 
@@ -79,11 +70,11 @@ void MetricDomain::HistogramRecord(uint32_t id, uint64_t sample) {
   histogram_cells_[id].Record(sample);
 }
 
-int32_t MetricDomain::OpenSpan(const char* name) {
+int32_t MetricDomain::OpenSpan(const char* name, uint64_t now_ns) {
   int32_t index = static_cast<int32_t>(spans_.size());
   CapturedSpan span;
   span.name = name;
-  span.start_ns = MonotonicNowNs() - start_ns_;
+  span.start_ns = now_ns - start_ns_;
   span.parent = open_stack_.empty() ? -1 : open_stack_.back();
   span.depth = static_cast<int32_t>(open_stack_.size());
   spans_.push_back(std::move(span));
@@ -91,10 +82,9 @@ int32_t MetricDomain::OpenSpan(const char* name) {
   return index;
 }
 
-void MetricDomain::CloseSpan(int32_t index) {
+void MetricDomain::CloseSpan(int32_t index, uint64_t now_ns) {
   if (index < 0 || index >= static_cast<int32_t>(spans_.size())) return;
-  spans_[index].dur_ns =
-      MonotonicNowNs() - start_ns_ - spans_[index].start_ns;
+  spans_[index].dur_ns = now_ns - start_ns_ - spans_[index].start_ns;
   // Spans close LIFO in practice (RAII), but tolerate out-of-order
   // closes from exotic control flow by erasing wherever the index sits.
   auto it = std::find(open_stack_.begin(), open_stack_.end(), index);
@@ -136,7 +126,7 @@ uint64_t MetricDomain::CounterDelta(const std::string& name) const {
 }
 
 uint64_t MetricDomain::ElapsedNs() const {
-  return MonotonicNowNs() - start_ns_;
+  return static_cast<uint64_t>(guard::MonotonicNowNs()) - start_ns_;
 }
 
 }  // namespace rtp::obs

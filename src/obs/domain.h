@@ -18,10 +18,10 @@
 // guard::GuardContext — and the per-item deltas sum to the registry
 // delta for the batch.
 //
-// Domains also record trace spans: TraceSpan (obs/trace.h) reports
-// every span to the innermost installed domain, which stores them in
-// preorder with parent links. ProfileScope (obs/profile.h) turns the
-// captured spans + deltas into a QueryProfile.
+// Domains also record phases: RTP_PHASE (obs/trace.h) reports every
+// phase to the innermost installed domain, which stores them in preorder
+// with parent links. ProfileScope (obs/profile.h) turns the captured
+// spans + deltas into a QueryProfile.
 
 #include <cstdint>
 #include <string>
@@ -58,10 +58,11 @@ class MetricDomain {
   void CounterAdd(uint32_t id, uint64_t n);
   void HistogramRecord(uint32_t id, uint64_t sample);
 
-  // --- span capture (called by TraceSpan) ---
-  // Opens a span; returns its index for the matching CloseSpan.
-  int32_t OpenSpan(const char* name);
-  void CloseSpan(int32_t index);
+  // --- span capture (called by obs::Phase) ---
+  // Opens a span that started at `now_ns` (guard::MonotonicNowNs);
+  // returns its index for the matching CloseSpan.
+  int32_t OpenSpan(const char* name, uint64_t now_ns);
+  void CloseSpan(int32_t index, uint64_t now_ns);
 
   // --- inspection (typically after Detach or from ProfileScope) ---
   // Nonzero counter deltas as (name, delta), sorted by name.

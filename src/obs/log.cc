@@ -15,16 +15,11 @@ namespace rtp::obs {
 
 namespace {
 
-LogLevel ParseLevel(const char* s) {
-  if (s == nullptr) return LogLevel::kOff;
-  if (std::strcmp(s, "debug") == 0) return LogLevel::kDebug;
-  if (std::strcmp(s, "info") == 0) return LogLevel::kInfo;
-  if (std::strcmp(s, "warn") == 0) return LogLevel::kWarn;
-  if (std::strcmp(s, "error") == 0) return LogLevel::kError;
-  return LogLevel::kOff;
+LogLevel InitialLevel() {
+  const char* env = std::getenv("RTP_LOG_LEVEL");
+  return env == nullptr ? LogLevel::kOff
+                        : ParseLogLevel(env).value_or(LogLevel::kOff);
 }
-
-LogLevel InitialLevel() { return ParseLevel(std::getenv("RTP_LOG_LEVEL")); }
 
 std::atomic<int>& MinLevel() {
   static std::atomic<int> level{static_cast<int>(InitialLevel())};
@@ -103,6 +98,14 @@ const char* LogLevelName(LogLevel level) {
   return "unknown";
 }
 
+std::optional<LogLevel> ParseLogLevel(std::string_view name) {
+  for (LogLevel level : {LogLevel::kDebug, LogLevel::kInfo, LogLevel::kWarn,
+                         LogLevel::kError, LogLevel::kOff}) {
+    if (name == LogLevelName(level)) return level;
+  }
+  return std::nullopt;
+}
+
 void SetLogLevel(LogLevel level) {
   MinLevel().store(static_cast<int>(level), std::memory_order_relaxed);
 }
@@ -150,13 +153,6 @@ LogMessage::~LogMessage() {
     std::fwrite(rendered.data(), 1, rendered.size(), stderr);
   }
 }
-
-#ifdef RTP_OBS_DISABLED
-NullLogStream& TheNullLogStream() {
-  static NullLogStream stream;
-  return stream;
-}
-#endif
 
 }  // namespace internal
 }  // namespace rtp::obs

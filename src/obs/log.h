@@ -21,15 +21,14 @@
 //     next emitted line's "suppressed" field.
 //   - Machine-readable: one JSON object per line, msg fully escaped.
 //   - No dependencies, no exceptions, safe from multiple threads.
-//
-// Compiling with RTP_OBS_DISABLED turns RTP_LOG into a statement that
-// type-checks its operands but generates no code.
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace rtp::obs {
 
@@ -43,6 +42,8 @@ enum class LogLevel : int {
 
 // "debug" / "info" / "warn" / "error" / "off".
 const char* LogLevelName(LogLevel level);
+// The inverse of LogLevelName; nullopt for any other string.
+std::optional<LogLevel> ParseLogLevel(std::string_view name);
 
 // Minimum emitted level. The initial value comes from RTP_LOG_LEVEL (off
 // when unset or unparseable).
@@ -96,24 +97,8 @@ struct LogVoidify {
   void operator&(std::ostream&) {}
 };
 
-#ifdef RTP_OBS_DISABLED
-// Dead-branch stream: type-checks operands, generates no code.
-struct NullLogStream {
-  template <typename T>
-  NullLogStream& operator<<(const T&) {
-    return *this;
-  }
-};
-struct NullLogVoidify {
-  void operator&(NullLogStream&) {}
-};
-NullLogStream& TheNullLogStream();
-#endif
-
 }  // namespace internal
 }  // namespace rtp::obs
-
-#ifndef RTP_OBS_DISABLED
 
 // Ternary (not if/else) so the macro is a single expression-statement and
 // never captures a dangling else.
@@ -124,14 +109,5 @@ NullLogStream& TheNullLogStream();
             ::rtp::obs::internal::LogMessage(::rtp::obs::loglevel::level,  \
                                              __FILE__, __LINE__)           \
                 .stream()
-
-#else  // RTP_OBS_DISABLED
-
-#define RTP_LOG(level)                               \
-  true ? (void)0                                     \
-       : ::rtp::obs::internal::NullLogVoidify() &    \
-             ::rtp::obs::internal::TheNullLogStream()
-
-#endif  // RTP_OBS_DISABLED
 
 #endif  // RTP_OBS_LOG_H_

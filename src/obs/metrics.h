@@ -5,7 +5,7 @@
 // independence pipeline, with optional request-scoped attribution.
 //
 // Design goals, in order:
-//   1. The hot path of an *enabled* metric is a single relaxed atomic add
+//   1. The hot path of a metric is a single relaxed atomic add
 //      (no locks, no allocation) plus one thread-local load that decides
 //      whether a request-scoped MetricDomain (obs/domain.h) is capturing
 //      on this thread. With a domain installed, the add lands in the
@@ -23,8 +23,8 @@
 //   static obs::Counter* c = obs::Registry().FindOrCreateCounter("fd.hits");
 //   c->Add(1);
 //
-// Defining RTP_OBS_DISABLED at compile time turns every macro into a no-op
-// with zero residual cost, for apples-to-apples overhead measurements.
+// Timed scopes use RTP_PHASE (obs/trace.h), which records a histogram
+// through the same idiom.
 
 #include <atomic>
 #include <cstdint>
@@ -228,8 +228,6 @@ inline std::string DumpText() { return Registry().DumpText(); }
 
 // Call-site macros. Each caches the metric pointer in a function-local
 // static, so steady state is one relaxed atomic add per event.
-#ifndef RTP_OBS_DISABLED
-
 #define RTP_OBS_COUNT(name) RTP_OBS_COUNT_N(name, 1)
 
 #define RTP_OBS_COUNT_N(name, n)                                      \
@@ -252,25 +250,5 @@ inline std::string DumpText() { return Registry().DumpText(); }
         ::rtp::obs::Registry().FindOrCreateHistogram(name);           \
     rtp_obs_histogram_->Record(static_cast<uint64_t>(sample));        \
   } while (false)
-
-#else  // RTP_OBS_DISABLED
-
-#define RTP_OBS_COUNT(name) \
-  do {                      \
-  } while (false)
-#define RTP_OBS_COUNT_N(name, n) \
-  do {                           \
-    (void)(n);                   \
-  } while (false)
-#define RTP_OBS_GAUGE_SET(name, v) \
-  do {                             \
-    (void)(v);                     \
-  } while (false)
-#define RTP_OBS_HISTOGRAM_RECORD(name, sample) \
-  do {                                         \
-    (void)(sample);                            \
-  } while (false)
-
-#endif  // RTP_OBS_DISABLED
 
 #endif  // RTP_OBS_METRICS_H_

@@ -19,8 +19,8 @@
 //   }                                            // profile is now filled
 //
 // ProfileScope installs a MetricDomain, so everything the operation
-// records — including spans from RTP_OBS_TRACE_SPAN — is captured and,
-// on destruction, flushed onward exactly as a bare MetricDomain would
+// records — including its RTP_PHASE phases — is captured and, on
+// destruction, flushed onward exactly as a bare MetricDomain would
 // (registry totals stay exact). Construct the ProfileScope *inside* any
 // ScopedGuard so its destructor still sees the guard context and can
 // snapshot budget consumption and the trip status.

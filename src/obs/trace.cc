@@ -1,14 +1,15 @@
 #include "obs/trace.h"
 
-#include <chrono>
-
-#include "common/json_string.h"
-#include "obs/domain.h"
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <sstream>
 #include <thread>
+
+#include "common/json_string.h"
+#include "guard/guard.h"
+#include "obs/domain.h"
 
 namespace rtp::obs {
 
@@ -26,12 +27,6 @@ uint64_t ThreadIdHash() {
   return std::hash<std::thread::id>{}(std::this_thread::get_id()) & 0xffff;
 }
 
-int64_t MonotonicNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 }  // namespace
 
 TraceSession::~TraceSession() {
@@ -39,7 +34,7 @@ TraceSession::~TraceSession() {
 }
 
 void TraceSession::Start() {
-  start_ns_ = MonotonicNowNs();
+  start_ns_ = static_cast<uint64_t>(guard::MonotonicNowNs());
   TraceSession* expected = nullptr;
   if (!g_active.compare_exchange_strong(expected, this,
                                         std::memory_order_relaxed)) {
@@ -62,14 +57,15 @@ TraceSession* TraceSession::Active() {
   return g_active.load(std::memory_order_relaxed);
 }
 
-uint64_t TraceSession::NowUs() const {
-  return static_cast<uint64_t>((MonotonicNowNs() - start_ns_) / 1000);
-}
-
-void TraceSession::Record(const char* name, uint64_t start_us,
-                          uint64_t dur_us, int depth) {
+void TraceSession::Record(const char* name, uint64_t start_ns,
+                          uint64_t dur_ns, int depth) {
+  // Round the start and the end down, not the start and the duration:
+  // then a span that ends inside its parent also does in the export.
+  uint64_t start_us = (start_ns - start_ns_) / 1000;
+  uint64_t end_us = (start_ns + dur_ns - start_ns_) / 1000;
   std::lock_guard<std::mutex> lock(mu_);
-  spans_.push_back(Span{name, start_us, dur_us, ThreadIdHash(), depth});
+  spans_.push_back(
+      Span{name, start_us, end_us - start_us, ThreadIdHash(), depth});
 }
 
 size_t TraceSession::NumSpans() const {
@@ -98,29 +94,31 @@ std::string TraceSession::ExportChromeTracing() const {
   return out.str();
 }
 
-TraceSpan::TraceSpan(const char* name)
-    : session_(TraceSession::Active()),
+Phase::Phase(const char* name, Histogram* histogram)
+    : name_(name),
+      histogram_(histogram),
+      session_(TraceSession::Active()),
       domain_(MetricDomain::Current()),
-      name_(name) {
-  if (domain_ != nullptr) domain_span_ = domain_->OpenSpan(name);
-  if (session_ == nullptr) return;
-  start_us_ = session_->NowUs();
-  depth_ = t_depth++;
+      start_ns_(static_cast<uint64_t>(guard::MonotonicNowNs())) {
+  if (domain_ != nullptr) domain_span_ = domain_->OpenSpan(name, start_ns_);
+  if (session_ != nullptr) depth_ = t_depth++;
 }
 
-TraceSpan::~TraceSpan() {
+Phase::~Phase() {
+  uint64_t end_ns = static_cast<uint64_t>(guard::MonotonicNowNs());
+  histogram_->Record(end_ns - start_ns_);
   // Close the domain span only if the same domain is still installed:
-  // spans and domains nest lexically in practice, and the check makes a
+  // phases and domains nest lexically in practice, and the check makes a
   // misnested pair drop a span instead of touching a dead domain.
   if (domain_ != nullptr && domain_ == MetricDomain::Current()) {
-    domain_->CloseSpan(domain_span_);
+    domain_->CloseSpan(domain_span_, end_ns);
   }
   if (session_ == nullptr) return;
   --t_depth;
-  // The session may have been stopped while the span was open; records
-  // after Stop() are still safe (the object outlives its active window at
-  // every RTP_OBS_TRACE_SPAN site by construction of the CLI / tests).
-  session_->Record(name_, start_us_, session_->NowUs() - start_us_, depth_);
+  // The session may have been stopped while the phase was open; records
+  // after Stop() are still safe (the session outlives every phase that
+  // saw it active, by construction of the CLI and the tests).
+  session_->Record(name_, start_ns_, end_ns - start_ns_, depth_);
 }
 
 }  // namespace rtp::obs

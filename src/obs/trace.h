@@ -1,32 +1,35 @@
 #ifndef RTP_OBS_TRACE_H_
 #define RTP_OBS_TRACE_H_
 
-// Scoped phase tracing with chrome://tracing export.
+// Timed phases, and whole-process tracing with chrome://tracing export.
 //
-// A TraceSession records nested phase spans ("compile fd automaton",
-// "product", "emptiness", ...) while installed as the process-wide active
-// session. When no session is active, span construction is a single
-// relaxed atomic load and a branch — instrumentation can stay in
-// production code.
+// RTP_PHASE("layer.phase") times the enclosing scope. For that scope it
+// records, under the one name:
+//   - the histogram "layer.phase.ns" (nanoseconds), always;
+//   - a span in the active TraceSession, if one is installed;
+//   - a phase in the innermost MetricDomain installed on this thread, if
+//     any, so request-scoped profiles (obs/profile.h) see the same phase
+//     tree as whole-process traces.
+// With no session and no domain a phase costs two clock reads, a relaxed
+// atomic load, a thread-local load and one histogram record.
 //
 //   obs::TraceSession session;
 //   session.Start();
-//   ...run the pipeline (RTP_OBS_TRACE_SPAN sites record into it)...
+//   ...run the pipeline (RTP_PHASE sites record into it)...
 //   session.Stop();
 //   std::string json = session.ExportChromeTracing();
 //
 // The export is a JSON array of complete ("ph":"X") events, loadable by
 // chrome://tracing or Perfetto.
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
 
-namespace rtp::obs {
+#include "obs/metrics.h"
 
-class MetricDomain;
+namespace rtp::obs {
 
 class TraceSession {
  public:
@@ -61,49 +64,47 @@ class TraceSession {
   std::string ExportChromeTracing() const;
 
  private:
-  friend class TraceSpan;
-  void Record(const char* name, uint64_t start_us, uint64_t dur_us,
+  friend class Phase;
+  void Record(const char* name, uint64_t start_ns, uint64_t dur_ns,
               int depth);
-  uint64_t NowUs() const;
 
   mutable std::mutex mu_;
   std::vector<Span> spans_;
-  int64_t start_ns_ = 0;
+  uint64_t start_ns_ = 0;
 };
 
-// RAII span: records [construction, destruction) into the active session,
-// if any, and into the innermost MetricDomain installed on this thread,
-// if any — so request-scoped profiles (obs/profile.h) see the same phase
-// structure as whole-process traces. `name` must be a string literal
-// (stored by pointer).
-class TraceSpan {
+// The RAII object behind RTP_PHASE. `name` is stored by pointer, so it
+// must outlive any session the phase records into (RTP_PHASE passes a
+// string literal); `histogram` must not be null.
+class Phase {
  public:
-  explicit TraceSpan(const char* name);
-  ~TraceSpan();
+  Phase(const char* name, Histogram* histogram);
+  ~Phase();
 
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
+  Phase(const Phase&) = delete;
+  Phase& operator=(const Phase&) = delete;
 
  private:
+  const char* name_;
+  Histogram* histogram_;
   TraceSession* session_;  // nullptr when inactive at construction
   MetricDomain* domain_;   // nullptr when no domain was installed
-  const char* name_;
-  uint64_t start_us_ = 0;
+  uint64_t start_ns_;
   int depth_ = 0;
   int32_t domain_span_ = -1;
 };
 
 }  // namespace rtp::obs
 
-#ifndef RTP_OBS_DISABLED
-#define RTP_OBS_TRACE_CONCAT_INNER_(a, b) a##b
-#define RTP_OBS_TRACE_CONCAT_(a, b) RTP_OBS_TRACE_CONCAT_INNER_(a, b)
-#define RTP_OBS_TRACE_SPAN(name) \
-  ::rtp::obs::TraceSpan RTP_OBS_TRACE_CONCAT_(rtp_obs_span_, __LINE__)(name)
-#else
-#define RTP_OBS_TRACE_SPAN(name) \
-  do {                           \
-  } while (false)
-#endif
+#define RTP_PHASE_CONCAT_INNER_(a, b) a##b
+#define RTP_PHASE_CONCAT_(a, b) RTP_PHASE_CONCAT_INNER_(a, b)
+// Times the enclosing scope as phase `name`, a string literal; the
+// histogram is `name` followed by ".ns".
+#define RTP_PHASE(name)                                                 \
+  static ::rtp::obs::Histogram* RTP_PHASE_CONCAT_(rtp_phase_histogram_, \
+                                                  __LINE__) =           \
+      ::rtp::obs::Registry().FindOrCreateHistogram(name ".ns");         \
+  ::rtp::obs::Phase RTP_PHASE_CONCAT_(rtp_phase_, __LINE__)(            \
+      name, RTP_PHASE_CONCAT_(rtp_phase_histogram_, __LINE__))
 
 #endif  // RTP_OBS_TRACE_H_

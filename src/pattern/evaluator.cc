@@ -6,7 +6,6 @@
 #include "common/hashing.h"
 #include "exec/parallel_for.h"
 #include "guard/failpoints.h"
-#include "obs/scoped_timer.h"
 #include "obs/trace.h"
 
 namespace rtp::pattern {
@@ -18,9 +17,9 @@ using xml::NodeId;
 
 MatchTables MatchTables::Build(const TreePattern& pattern,
                                const Document& doc) {
-  // The span covers the snapshot too: for profile consumers "build
+  // The phase covers the snapshot too: for profile consumers "build
   // tables" means everything up to a ready-to-enumerate state.
-  RTP_OBS_TRACE_SPAN("pattern.build_tables");
+  RTP_PHASE("pattern.build_tables");
   std::shared_ptr<const DocIndex> owned = doc.Snapshot();
   const DocIndex& index = *owned;
   return BuildImpl(pattern, index, std::move(owned));
@@ -28,7 +27,7 @@ MatchTables MatchTables::Build(const TreePattern& pattern,
 
 MatchTables MatchTables::Build(const TreePattern& pattern,
                                const DocIndex& index) {
-  RTP_OBS_TRACE_SPAN("pattern.build_tables");
+  RTP_PHASE("pattern.build_tables");
   return BuildImpl(pattern, index, nullptr);
 }
 
@@ -37,7 +36,6 @@ MatchTables MatchTables::BuildImpl(const TreePattern& pattern,
                                    std::shared_ptr<const DocIndex> owned) {
   RTP_OBS_COUNT("pattern.eval.tables_built");
   RTP_OBS_COUNT("pattern.eval.dense.builds");
-  RTP_OBS_SCOPED_TIMER("pattern.eval.tables_build_ns");
   RTP_FAILPOINT("pattern.tables.build");
   MatchTables t;
   t.pattern_ = &pattern;
@@ -201,7 +199,7 @@ struct TupleHash {
 
 std::vector<std::vector<NodeId>> EvaluateSelectedImpl(
     const TreePattern& pattern, const MatchTables& tables) {
-  RTP_OBS_TRACE_SPAN("pattern.enumerate");
+  RTP_PHASE("pattern.enumerate");
   MappingEnumerator enumerator(tables);
   std::vector<std::vector<NodeId>> result;
   std::unordered_set<std::vector<NodeId>, TupleHash> seen;

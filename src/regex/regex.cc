@@ -1,13 +1,13 @@
 #include "regex/regex.h"
 
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
+#include "obs/trace.h"
 
 namespace rtp::regex {
 
 StatusOr<Regex> Regex::Parse(Alphabet* alphabet, std::string_view text) {
   RTP_OBS_COUNT("regex.compilations");
-  RTP_OBS_SCOPED_TIMER("regex.compile_ns");
+  RTP_PHASE("regex.compile");
   RTP_ASSIGN_OR_RETURN(RegexAst ast, ParseRegex(alphabet, text));
   Dfa dfa = Dfa::FromAst(*ast).Minimize();
   return Regex(std::move(ast), std::move(dfa));
@@ -15,7 +15,7 @@ StatusOr<Regex> Regex::Parse(Alphabet* alphabet, std::string_view text) {
 
 Regex Regex::FromAst(RegexAst ast) {
   RTP_OBS_COUNT("regex.compilations");
-  RTP_OBS_SCOPED_TIMER("regex.compile_ns");
+  RTP_PHASE("regex.compile");
   Dfa dfa = Dfa::FromAst(*ast).Minimize();
   return Regex(std::move(ast), std::move(dfa));
 }

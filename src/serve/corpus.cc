@@ -3,13 +3,11 @@
 namespace rtp::serve {
 
 Tenant::Tenant(std::string tenant_name) : name(std::move(tenant_name)) {
-#ifndef RTP_OBS_DISABLED
   obs::MetricsRegistry& registry = obs::Registry();
   m_requests =
       registry.FindOrCreateCounter("serve.tenant." + name + ".requests");
   m_errors = registry.FindOrCreateCounter("serve.tenant." + name + ".errors");
   m_trips = registry.FindOrCreateCounter("serve.tenant." + name + ".trips");
-#endif
 }
 
 std::shared_ptr<Tenant> TenantRegistry::GetOrCreate(const std::string& name) {

@@ -66,12 +66,12 @@ struct Tenant {
   std::atomic<uint64_t> errors{0};
   std::atomic<uint64_t> trips{0};
 
-  // Cached per-tenant obs counters ("serve.tenant.<name>.*"); null when
-  // the build disables obs. The tenant-name charset is validated by the
-  // protocol layer, so the names are injection-safe.
-  obs::Counter* m_requests = nullptr;
-  obs::Counter* m_errors = nullptr;
-  obs::Counter* m_trips = nullptr;
+  // Cached per-tenant obs counters ("serve.tenant.<name>.*"). The
+  // tenant-name charset is validated by the protocol layer, so the names
+  // are injection-safe.
+  obs::Counter* m_requests;
+  obs::Counter* m_errors;
+  obs::Counter* m_trips;
 };
 
 class TenantRegistry {

@@ -492,7 +492,7 @@ JsonValue Server::HandleRequest(Connection* conn, const Request& req,
     }
   }
   tenant->requests.fetch_add(1, std::memory_order_relaxed);
-  if (tenant->m_requests != nullptr) tenant->m_requests->Add(1);
+  tenant->m_requests->Add(1);
 
   guard::ExecutionBudget budget = req.budget;
   if (!req.has_budget) {
@@ -521,14 +521,14 @@ JsonValue Server::HandleRequest(Connection* conn, const Request& req,
   const JsonValue* ok = response.Find("ok");
   if (ok != nullptr && ok->is_bool() && !ok->bool_value()) {
     tenant->errors.fetch_add(1, std::memory_order_relaxed);
-    if (tenant->m_errors != nullptr) tenant->m_errors->Add(1);
+    tenant->m_errors->Add(1);
     const JsonValue* error = response.Find("error");
     StatusCode code = error != nullptr
                           ? StatusCodeFromName(error->FindString("code"))
                           : StatusCode::kInternal;
     if (guard::IsResourceCode(code)) {
       tenant->trips.fetch_add(1, std::memory_order_relaxed);
-      if (tenant->m_trips != nullptr) tenant->m_trips->Add(1);
+      tenant->m_trips->Add(1);
       RTP_OBS_COUNT("serve.trips");
     } else {
       RTP_OBS_COUNT("serve.errors.request");
@@ -785,7 +785,7 @@ JsonValue Server::HandleMatrix(Tenant& tenant, const Request& req,
     // cells carry the conservative not-independent verdict), but the
     // trips are tallied like request-level ones.
     tenant.trips.fetch_add(tripped, std::memory_order_relaxed);
-    if (tenant.m_trips != nullptr) tenant.m_trips->Add(tripped);
+    tenant.m_trips->Add(tripped);
     RTP_OBS_COUNT_N("serve.trips", tripped);
   }
 

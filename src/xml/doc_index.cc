@@ -1,13 +1,13 @@
 #include "xml/doc_index.h"
 
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
+#include "obs/trace.h"
 
 namespace rtp::xml {
 
 DocIndex DocIndex::Build(const Document& doc) {
   RTP_OBS_COUNT("xml.doc_index.builds");
-  RTP_OBS_SCOPED_TIMER("xml.doc_index.build_ns");
+  RTP_PHASE("xml.doc_index.build");
   DocIndex d;
   d.doc_ = &doc;
   d.root_ = doc.root();

@@ -3,7 +3,7 @@
 #include <cctype>
 
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
+#include "obs/trace.h"
 
 namespace rtp::xml {
 
@@ -278,7 +278,7 @@ void WriteElement(const Document& doc, NodeId n, bool indent, int depth,
 
 StatusOr<Document> ParseXml(Alphabet* alphabet, std::string_view input) {
   RTP_OBS_COUNT("xml.parse.documents");
-  RTP_OBS_SCOPED_TIMER("xml.parse.ns");
+  RTP_PHASE("xml.parse");
   Parser parser(alphabet, input);
   StatusOr<Document> doc = parser.Parse();
   if (doc.ok()) RTP_OBS_COUNT_N("xml.parse.nodes", doc->LiveNodeCount());

@@ -12,22 +12,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
-namespace {
+#include "serve/json.h"
 
-// The CLI is built with the same flags as this test; under
-// RTP_OBS_DISABLED the pipeline records no metrics, spans, or profiles,
-// so content assertions about them only hold in the enabled build.
-#ifdef RTP_OBS_DISABLED
-#define SKIP_IF_OBS_DISABLED() \
-  GTEST_SKIP() << "RTP_OBS_DISABLED: call-site instrumentation compiled out"
-#else
-#define SKIP_IF_OBS_DISABLED() (void)0
-#endif
+namespace {
 
 std::string Quoted(const std::string& s) { return "'" + s + "'"; }
 
@@ -100,7 +93,6 @@ void ExpectParseableJsonObject(const std::string& json) {
 }
 
 TEST(CliStatsTest, IndependentEmitsPipelineMetrics) {
-  SKIP_IF_OBS_DISABLED();
   std::string stats_file = testing::TempDir() + "/cli_stats_independent.json";
   std::remove(stats_file.c_str());
 
@@ -139,7 +131,6 @@ TEST(CliStatsTest, IndependentEmitsPipelineMetrics) {
 }
 
 TEST(CliStatsTest, CheckFdEmitsEvaluatorAndFdMetrics) {
-  SKIP_IF_OBS_DISABLED();
   std::string stats_file = testing::TempDir() + "/cli_stats_check.json";
   std::remove(stats_file.c_str());
 
@@ -161,7 +152,6 @@ TEST(CliStatsTest, CheckFdEmitsEvaluatorAndFdMetrics) {
 }
 
 TEST(CliStatsTest, ValidateAgainstSchemaCountsValidation) {
-  SKIP_IF_OBS_DISABLED();
   std::string stats_file = testing::TempDir() + "/cli_stats_validate.json";
   std::remove(stats_file.c_str());
 
@@ -177,7 +167,6 @@ TEST(CliStatsTest, ValidateAgainstSchemaCountsValidation) {
 }
 
 TEST(CliStatsTest, BareStatsFlagDumpsToStderr) {
-  SKIP_IF_OBS_DISABLED();
   RunResult r = RunCli("--stats eval " + Quoted(DataPath("update_u.pattern")) +
                         " " + Quoted(DataPath("exam.xml")),
                     /*merge_stderr=*/true);
@@ -192,7 +181,6 @@ TEST(CliStatsTest, BareStatsFlagDumpsToStderr) {
 }
 
 TEST(CliStatsTest, TraceOutWritesChromeTracingJson) {
-  SKIP_IF_OBS_DISABLED();
   std::string trace_file = testing::TempDir() + "/cli_trace.json";
   std::remove(trace_file.c_str());
 
@@ -205,13 +193,55 @@ TEST(CliStatsTest, TraceOutWritesChromeTracingJson) {
   std::string json = ReadFileOrDie(trace_file);
   ASSERT_FALSE(json.empty());
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos) << json;
-  EXPECT_NE(json.find("independence.CheckIndependence"), std::string::npos)
+  EXPECT_NE(json.find("independence.criterion"), std::string::npos)
       << json;
   std::remove(trace_file.c_str());
 }
 
+// Every timed phase has one name: each span X of a trace has a histogram
+// X.ns with one sample per span, and each X.ns histogram has its spans.
+TEST(CliStatsTest, EveryPhaseHasOneName) {
+  const std::string commands[] = {
+      "independent " + Quoted(DataPath("fd5.fd")) + " " +
+          Quoted(DataPath("update_u.pattern")) + " " +
+          Quoted(DataPath("exam.schema")),
+      "checkfd " + Quoted(DataPath("fd1.fd")) + " " +
+          Quoted(DataPath("exam.xml")),
+  };
+  std::string stats_file = testing::TempDir() + "/cli_phase_stats.json";
+  std::string trace_file = testing::TempDir() + "/cli_phase_trace.json";
+  for (const std::string& command : commands) {
+    RunResult r = RunCli("--stats=" + Quoted(stats_file) + " --trace-out=" +
+                         Quoted(trace_file) + " " + command);
+    EXPECT_EQ(r.exit_code, 0) << command;
+    auto stats = rtp::serve::JsonValue::Parse(ReadFileOrDie(stats_file));
+    auto trace = rtp::serve::JsonValue::Parse(ReadFileOrDie(trace_file));
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+
+    std::map<std::string, int64_t> spans;
+    for (const rtp::serve::JsonValue& event : trace->array_items()) {
+      ++spans[event.FindString("name")];
+    }
+    std::map<std::string, int64_t> histograms;
+    const rtp::serve::JsonValue* all = stats->Find("histograms");
+    ASSERT_NE(all, nullptr);
+    for (const auto& [name, histogram] : all->object_items()) {
+      if (name.size() < 3 || name.compare(name.size() - 3, 3, ".ns") != 0) {
+        continue;
+      }
+      const rtp::serve::JsonValue* count = histogram.Find("count");
+      ASSERT_NE(count, nullptr) << name;
+      histograms[name.substr(0, name.size() - 3)] = count->int_value();
+    }
+    EXPECT_FALSE(spans.empty()) << command;
+    EXPECT_EQ(spans, histograms) << command;
+  }
+  std::remove(stats_file.c_str());
+  std::remove(trace_file.c_str());
+}
+
 TEST(CliProfileTest, ProfileFlagWritesQueryProfiles) {
-  SKIP_IF_OBS_DISABLED();
   std::string profile_file = testing::TempDir() + "/cli_profile_eval.json";
   std::remove(profile_file.c_str());
 
@@ -236,7 +266,6 @@ TEST(CliProfileTest, ProfileFlagWritesQueryProfiles) {
 }
 
 TEST(CliProfileTest, ExplainWrapsCommandAndPrintsTextProfile) {
-  SKIP_IF_OBS_DISABLED();
   RunResult r = RunCli("explain checkfd " + Quoted(DataPath("fd1.fd")) + " " +
                     Quoted(DataPath("exam.xml")));
   EXPECT_EQ(r.exit_code, 0) << r.stdout_text;
@@ -260,7 +289,6 @@ TEST(CliProfileTest, ExplainRejectsUnwrappableCommand) {
 }
 
 TEST(CliPrometheusTest, PrometheusFlagWritesExposition) {
-  SKIP_IF_OBS_DISABLED();
   std::string prom_file = testing::TempDir() + "/cli_prometheus.txt";
   std::remove(prom_file.c_str());
 

@@ -77,14 +77,9 @@ TEST(ParallelForTest, AtMostJobsThreadsTakePart) {
   });
   EXPECT_GE(threads.size(), 1u);
   EXPECT_LE(threads.size(), static_cast<size_t>(kJobs));
-#ifndef RTP_OBS_DISABLED
   EXPECT_EQ(CounterValue("exec.pool.parallel_for.calls") - calls_before, 1u);
   EXPECT_EQ(CounterValue("exec.pool.tasks_executed") - helpers_before,
             static_cast<uint64_t>(kJobs - 1));
-#else
-  (void)calls_before;
-  (void)helpers_before;
-#endif
 }
 
 TEST(ParallelForTest, ZeroIterationsIsANoOp) {
@@ -213,11 +208,7 @@ TEST(AutomatonCacheTest, ContendedCompileBuildsOnce) {
     ASSERT_NE(results[t], nullptr);
     EXPECT_EQ(results[t].get(), results[0].get());
   }
-#ifndef RTP_OBS_DISABLED
   EXPECT_EQ(CounterValue("exec.cache.builds") - builds_before, 1u);
-#else
-  (void)builds_before;
-#endif
 }
 
 TEST(AutomatonCacheTest, GlobalIsASingleton) {

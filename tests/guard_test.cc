@@ -161,9 +161,6 @@ TEST(GuardTest, OptionalGuardScopeEngagesOnlyWhenLimited) {
 }
 
 TEST(GuardTest, TripsAreCountedInObsMetrics) {
-#ifdef RTP_OBS_DISABLED
-  GTEST_SKIP() << "RTP_OBS_DISABLED: trip counters compiled out";
-#endif
   uint64_t resource_before = CounterValue("guard.trips.resource");
   uint64_t cancelled_before = CounterValue("guard.trips.cancelled");
   uint64_t contexts_before = CounterValue("guard.contexts");
@@ -425,12 +422,8 @@ TEST(GuardGadgetTest, MatrixDegradesPathologicalCellsPerCell) {
   EXPECT_EQ(tripped_cell.status.code(), StatusCode::kResourceExhausted);
   EXPECT_FALSE(tripped_cell.independent);
 
-  // Every trip is counted in the guard metrics (unless compiled out).
-#ifndef RTP_OBS_DISABLED
+  // Every trip is counted in the guard metrics.
   EXPECT_GE(CounterValue("guard.trips.resource"), trips_before + 1);
-#else
-  (void)trips_before;
-#endif
 
   // The rendering distinguishes tripped cells from negative verdicts.
   std::string rendered = matrix->ToString({"fd"}, {"cheap", "patho"});

@@ -37,15 +37,6 @@ using obs::MetricsSnapshot;
 using obs::QueryProfile;
 using obs::Registry;
 
-// The pipeline instrumentation is compiled out under RTP_OBS_DISABLED, so
-// profile-content assertions only hold in the enabled build.
-#ifdef RTP_OBS_DISABLED
-#define SKIP_IF_OBS_DISABLED() \
-  GTEST_SKIP() << "RTP_OBS_DISABLED: call-site instrumentation compiled out"
-#else
-#define SKIP_IF_OBS_DISABLED() (void)0
-#endif
-
 TEST(MetricDomainTest, CapturesCountersAndFlushesOnDestruction) {
   obs::Counter* c = Registry().FindOrCreateCounter("obsdomain.counter.flush");
   uint64_t before = c->value();
@@ -119,8 +110,8 @@ TEST(MetricDomainTest, CaptureIsPerThread) {
 TEST(MetricDomainTest, CapturesTraceSpansWithNesting) {
   MetricDomain domain;
   {
-    obs::TraceSpan outer("obsdomain.span.outer");
-    { obs::TraceSpan inner("obsdomain.span.inner"); }
+    RTP_PHASE("obsdomain.span.outer");
+    { RTP_PHASE("obsdomain.span.inner"); }
   }
   const std::vector<obs::CapturedSpan>& spans = domain.spans();
   ASSERT_EQ(spans.size(), 2u);
@@ -162,7 +153,6 @@ TEST(ProfileScopeTest, NullOutputIsInert) {
 }
 
 TEST(ProfileScopeTest, ProfiledEvaluationFillsPhasesAndCounters) {
-  SKIP_IF_OBS_DISABLED();
   Alphabet alphabet;
   pattern::ParsedPattern parsed = workload::PaperR3(&alphabet);
 
@@ -224,7 +214,6 @@ TEST(ProfileScopeTest, ProfiledEvaluationFillsPhasesAndCounters) {
 // count on every build; a `_*` edge reads every label, so its region is
 // the whole tree.
 TEST(ProfileScopeTest, TableRowsCountTheLiveRegion) {
-  SKIP_IF_OBS_DISABLED();
   Alphabet alphabet;
   std::ifstream in(std::string(RTP_EXAMPLES_DATA_DIR) + "/exam.xml");
   std::stringstream text;
@@ -261,7 +250,6 @@ TEST(ProfileScopeTest, TableRowsCountTheLiveRegion) {
 }
 
 TEST(ProfileScopeTest, GuardedCheckReportsBudgetConsumption) {
-  SKIP_IF_OBS_DISABLED();
   Alphabet alphabet;
   auto fd = fd::FunctionalDependency::FromParsed(workload::PaperFd1(&alphabet));
   ASSERT_TRUE(fd.ok()) << fd.status().ToString();
@@ -330,7 +318,6 @@ std::map<std::string, uint64_t> RegistryDeltaFor(
 }
 
 TEST(BatchAttributionTest, FdBatchProfilesSumToRegistryDelta) {
-  SKIP_IF_OBS_DISABLED();
   Alphabet alphabet;
   auto fd = fd::FunctionalDependency::FromParsed(workload::PaperFd1(&alphabet));
   ASSERT_TRUE(fd.ok()) << fd.status().ToString();
@@ -373,7 +360,6 @@ TEST(BatchAttributionTest, FdBatchProfilesSumToRegistryDelta) {
 }
 
 TEST(BatchAttributionTest, EvalBatchProfilesSumToRegistryDelta) {
-  SKIP_IF_OBS_DISABLED();
   Alphabet alphabet;
   pattern::ParsedPattern parsed = workload::PaperR3(&alphabet);
 

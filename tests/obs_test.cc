@@ -6,17 +6,19 @@
 // the registry contains *only* what this file created.
 
 #include <algorithm>
+#include <chrono>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/domain.h"
 #include "obs/exposition.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "obs/trace.h"
 #include "serve/json.h"
 
@@ -192,46 +194,87 @@ TEST(HistogramTest, ConcurrentRecordsAreLossless) {
   EXPECT_EQ(h->max(), static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(ScopedTimerTest, RecordsElapsedIntoHistogram) {
-  Histogram* h = Registry().FindOrCreateHistogram("obstest.timer.record");
+// One RTP_PHASE records its histogram, a span in the active session and
+// a span in the installed domain, all with the phase's own duration.
+TEST(PhaseTest, RecordsHistogramSessionSpanAndDomainSpan) {
+  Histogram* h = Registry().FindOrCreateHistogram("obstest.phase.all.ns");
   h->Reset();
+  TraceSession session;
+  session.Start();
+  uint64_t measured_ns = 0;
   {
-    ScopedTimer timer(h);
-    // Burn a little time so elapsed > 0 even at coarse clock resolution.
-    volatile uint64_t sink = 0;
-    for (int i = 0; i < 10000; ++i) sink = sink + i;
-  }
-  EXPECT_EQ(h->count(), 1u);
-  EXPECT_GT(h->sum(), 0u);
-}
-
-TEST(ScopedTimerTest, CancelSuppressesRecording) {
-  Histogram* h = Registry().FindOrCreateHistogram("obstest.timer.cancel");
-  h->Reset();
-  {
-    ScopedTimer timer(h);
-    timer.Cancel();
-  }
-  EXPECT_EQ(h->count(), 0u);
-}
-
-TEST(ScopedTimerTest, NestedTimersEachRecordTheirOwnSpan) {
-  Histogram* outer = Registry().FindOrCreateHistogram("obstest.timer.outer");
-  Histogram* inner = Registry().FindOrCreateHistogram("obstest.timer.inner");
-  outer->Reset();
-  inner->Reset();
-  {
-    ScopedTimer t_outer(outer);
+    MetricDomain domain;
     {
-      ScopedTimer t_inner(inner);
-      volatile uint64_t sink = 0;
-      for (int i = 0; i < 10000; ++i) sink = sink + i;
+      RTP_PHASE("obstest.phase.all");
+      auto start = std::chrono::steady_clock::now();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      measured_ns = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count());
+    }
+    ASSERT_EQ(domain.spans().size(), 1u);
+    EXPECT_EQ(domain.spans()[0].name, "obstest.phase.all");
+    EXPECT_GE(domain.spans()[0].dur_ns, measured_ns);
+  }  // the domain flushes its histogram delta into the registry
+  session.Stop();
+
+  EXPECT_EQ(h->count(), 1u);
+  EXPECT_GE(h->sum(), measured_ns);
+  std::vector<TraceSession::Span> spans = session.spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_STREQ(spans[0].name, "obstest.phase.all");
+  EXPECT_GE(spans[0].dur_us, measured_ns / 1000);
+}
+
+TEST(PhaseTest, NestedPhasesKeepParentAndDepth) {
+  Histogram* inner = Registry().FindOrCreateHistogram("obstest.phase.inner.ns");
+  inner->Reset();
+  TraceSession session;
+  session.Start();
+  {
+    MetricDomain domain;
+    {
+      RTP_PHASE("obstest.phase.outer");
+      { RTP_PHASE("obstest.phase.inner"); }
+      { RTP_PHASE("obstest.phase.inner"); }
+    }
+    const std::vector<CapturedSpan>& captured = domain.spans();
+    ASSERT_EQ(captured.size(), 3u);
+    // Preorder: the outer phase opened first; both inner ones are its
+    // children.
+    EXPECT_EQ(captured[0].name, "obstest.phase.outer");
+    EXPECT_EQ(captured[0].parent, -1);
+    EXPECT_EQ(captured[0].depth, 0);
+    for (int i : {1, 2}) {
+      EXPECT_EQ(captured[i].name, "obstest.phase.inner");
+      EXPECT_EQ(captured[i].parent, 0);
+      EXPECT_EQ(captured[i].depth, 1);
     }
   }
-  ASSERT_EQ(outer->count(), 1u);
-  ASSERT_EQ(inner->count(), 1u);
-  // The outer span strictly contains the inner one.
-  EXPECT_GE(outer->sum(), inner->sum());
+  session.Stop();
+
+  // The session records at close, so the inner phases land first.
+  std::vector<TraceSession::Span> spans = session.spans();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_STREQ(spans[0].name, "obstest.phase.inner");
+  EXPECT_EQ(spans[0].depth, 1);
+  EXPECT_STREQ(spans[1].name, "obstest.phase.inner");
+  EXPECT_EQ(spans[1].depth, 1);
+  EXPECT_STREQ(spans[2].name, "obstest.phase.outer");
+  EXPECT_EQ(spans[2].depth, 0);
+  EXPECT_EQ(inner->count(), 2u);
+}
+
+TEST(PhaseTest, WithNeitherInstalledOnlyTheHistogramRecords) {
+  Histogram* h = Registry().FindOrCreateHistogram("obstest.phase.bare.ns");
+  h->Reset();
+  ASSERT_EQ(TraceSession::Active(), nullptr);
+  ASSERT_EQ(MetricDomain::Current(), nullptr);
+  TraceSession session;  // never started
+  { RTP_PHASE("obstest.phase.bare"); }
+  EXPECT_EQ(h->count(), 1u);
+  EXPECT_EQ(session.NumSpans(), 0u);
 }
 
 TEST(DumpTest, JsonHasStableShapeAndSortedKeys) {
@@ -372,10 +415,16 @@ TEST(ExpositionTest, PrometheusExpositionShape) {
 }
 
 // ---------------------------------------------------------------------------
-// Structured logging. RTP_LOG compiles to nothing under RTP_OBS_DISABLED,
-// so the emission tests only exist in the enabled build.
+// Structured logging.
 
-#ifndef RTP_OBS_DISABLED
+TEST(LogLevelTest, ParseLogLevelReadsEveryNameAndRejectsOthers) {
+  EXPECT_EQ(ParseLogLevel("debug"), LogLevel::kDebug);
+  EXPECT_EQ(ParseLogLevel("info"), LogLevel::kInfo);
+  EXPECT_EQ(ParseLogLevel("warn"), LogLevel::kWarn);
+  EXPECT_EQ(ParseLogLevel("error"), LogLevel::kError);
+  EXPECT_EQ(ParseLogLevel("off"), LogLevel::kOff);
+  EXPECT_EQ(ParseLogLevel("loud"), std::nullopt);
+}
 
 class LogCaptureTest : public ::testing::Test {
  protected:
@@ -442,23 +491,26 @@ TEST_F(LogCaptureTest, PerSiteRateLimitSuppresses) {
   EXPECT_LT(emitted, static_cast<size_t>(kAttempts));
 }
 
-#endif  // RTP_OBS_DISABLED
-
 TEST(TraceTest, InactiveByDefaultAndSpansAreFree) {
   ASSERT_EQ(TraceSession::Active(), nullptr);
   // Constructing a span with no active session is a no-op.
-  { RTP_OBS_TRACE_SPAN("obstest.noop"); }
+  { RTP_PHASE("obstest.noop"); }
   EXPECT_EQ(TraceSession::Active(), nullptr);
 }
 
+// Nested spans keep their depth, and in the export every inner span lies
+// inside its outer one wherever the microsecond boundaries fall: the
+// export rounds each span's start and end down. Short spans cross a
+// boundary now and then, so many pairs exercise the rounding.
 TEST(TraceTest, RecordsNestedSpansWithDepth) {
+  constexpr int kPairs = 2000;
   TraceSession session;
   session.Start();
   ASSERT_EQ(TraceSession::Active(), &session);
-  {
-    TraceSpan outer("obstest.outer");
+  for (int pair = 0; pair < kPairs; ++pair) {
+    RTP_PHASE("obstest.outer");
     {
-      TraceSpan inner("obstest.inner");
+      RTP_PHASE("obstest.inner");
       volatile uint64_t sink = 0;
       for (int i = 0; i < 1000; ++i) sink = sink + i;
     }
@@ -466,24 +518,31 @@ TEST(TraceTest, RecordsNestedSpansWithDepth) {
   session.Stop();
   EXPECT_EQ(TraceSession::Active(), nullptr);
 
+  // Spans are recorded at destruction, so each inner span lands just
+  // before its outer one.
   std::vector<TraceSession::Span> spans = session.spans();
-  ASSERT_EQ(spans.size(), 2u);
-  // Spans are recorded at destruction, so the inner span lands first.
-  EXPECT_STREQ(spans[0].name, "obstest.inner");
-  EXPECT_STREQ(spans[1].name, "obstest.outer");
-  EXPECT_EQ(spans[0].depth, 1);
-  EXPECT_EQ(spans[1].depth, 0);
-  // The outer span contains the inner one.
-  EXPECT_LE(spans[1].start_us, spans[0].start_us);
-  EXPECT_GE(spans[1].start_us + spans[1].dur_us,
-            spans[0].start_us + spans[0].dur_us);
+  ASSERT_EQ(spans.size(), 2u * kPairs);
+  int escaped = 0;
+  for (size_t i = 0; i < spans.size(); i += 2) {
+    const TraceSession::Span& inner = spans[i];
+    const TraceSession::Span& outer = spans[i + 1];
+    ASSERT_STREQ(inner.name, "obstest.inner");
+    ASSERT_STREQ(outer.name, "obstest.outer");
+    ASSERT_EQ(inner.depth, 1);
+    ASSERT_EQ(outer.depth, 0);
+    if (inner.start_us < outer.start_us ||
+        inner.start_us + inner.dur_us > outer.start_us + outer.dur_us) {
+      ++escaped;
+    }
+  }
+  EXPECT_EQ(escaped, 0) << "of " << kPairs << " nested pairs";
 }
 
 TEST(TraceTest, SpansStartedAfterStopAreDropped) {
   TraceSession session;
   session.Start();
   session.Stop();
-  { TraceSpan span("obstest.after-stop"); }
+  { RTP_PHASE("obstest.after-stop"); }
   EXPECT_EQ(session.NumSpans(), 0u);
 }
 
@@ -491,7 +550,8 @@ TEST(TraceTest, ChromeTracingExportShape) {
   TraceSession session;
   session.Start();
   {
-    TraceSpan span("obstest.export \"quoted\"\ttab");
+    Phase phase("obstest.export \"quoted\"\ttab",
+                Registry().FindOrCreateHistogram("obstest.export.ns"));
     volatile uint64_t sink = 0;
     for (int i = 0; i < 1000; ++i) sink = sink + i;
   }

@@ -49,4 +49,21 @@ TEST(RtpdFlagsTest, MillisecondFlagsAboveIntMaxAreUsageErrors) {
   }
 }
 
+TEST(RtpdFlagsTest, UnknownLogLevelIsAUsageError) {
+  RtpdResult loud = RunRtpd("--log-level=loud");
+  EXPECT_EQ(loud.exit_code, 2);
+  EXPECT_NE(loud.stderr_text.find(
+                "error: --log-level must be debug|info|warn|error|off\n"
+                "usage: rtpd"),
+            std::string::npos)
+      << loud.stderr_text;
+
+  // A known level parses; rtpd stops at the missing --socket.
+  RtpdResult warn = RunRtpd("--log-level=warn");
+  EXPECT_EQ(warn.exit_code, 2);
+  EXPECT_NE(warn.stderr_text.find("error: --socket is required"),
+            std::string::npos)
+      << warn.stderr_text;
+}
+
 }  // namespace

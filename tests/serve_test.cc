@@ -759,9 +759,6 @@ TEST(ServeTest, ShutdownIsAcknowledgedBeforeTheServerStops) {
 // gate alone bounds rtpd's engine threads to `jobs`, so no ParallelFor
 // fans a served request out.
 TEST(ServeTest, ServedMatrixRunsOnItsConnectionThread) {
-#ifdef RTP_OBS_DISABLED
-  GTEST_SKIP() << "RTP_OBS_DISABLED: exec.pool.* counters compiled out";
-#endif
   ServerOptions options;
   options.jobs = 4;
   TestServer ts = StartTestServer(options);

@@ -19,11 +19,13 @@ The gate fails when a median is worse by more than the metric's bound,
 when either spread exceeds it (setup_s exempt), or when any run gives a
 wrong answer.
 
-After the pairs it makes one --trace 1 run per side and gated workload,
-on seed FIRST_SEED, and prints every per-layer metric of BENCHMARK.json
-as base, head and head/base. That table only explains the first one: it
-adds no failure condition. The worktree is removed on exit, also on
-failure.
+After the pairs it makes two traced pairs (--trace 1) per gated
+workload on seed FIRST_SEED, one with the base first and one with this
+checkout first, because the engine rows read lower in whichever run of a
+pair goes second. It prints every per-layer metric of BENCHMARK.json as
+each side's mean of its two runs, and head/base. That table only
+explains the first one: it adds no failure condition. The worktree is
+removed on exit, also on failure.
 """
 
 import json
@@ -80,24 +82,34 @@ def run(bench, tree, workload, seed):
     return metrics
 
 
-def traced_table(bench, trees):
-    """Prints the per-layer metrics of one traced run per side.
+def side_mean(runs, name):
+    """The mean of metric `name` over one side's traced runs, or None when
+    a run lacks it."""
+    values = [(r or {}).get(name) for r in runs]
+    return sum(values) / len(values) if all(values) else None
 
-    Missing values (a failed run, or a metric off the workload's path,
-    which perfbench reports as 0) print as "-"; nothing here fails the
-    gate.
+
+def traced_table(bench, trees):
+    """Prints the per-layer metrics of two traced runs per side.
+
+    The two traced pairs run in opposite orders. A side's value is the
+    mean of its two runs. It prints as "-" when a run failed, or when the
+    metric is off the workload's path, which perfbench reports as 0.
+    Nothing here fails the gate.
     """
     out = ["| workload | metric | unit | base | head | head/base |",
            "|---|---|---|---|---|---|"]
     for workload in [w["name"] for w in bench["workloads"]]:
-        traced = {}
-        for side in ("base", "head"):
-            traced[side], failure = bench_run(bench, trees[side], workload,
-                                              FIRST_SEED, 1)
-            if failure:
-                print("perf gate: traced " + failure, file=sys.stderr)
+        traced = {"base": [], "head": []}
+        for order in (("base", "head"), ("head", "base")):
+            for side in order:
+                metrics, failure = bench_run(bench, trees[side], workload,
+                                             FIRST_SEED, 1)
+                if failure:
+                    print("perf gate: traced " + failure, file=sys.stderr)
+                traced[side].append(metrics)
         for m in bench["per_layer"]:
-            base, head = [(traced[side] or {}).get(m["name"])
+            base, head = [side_mean(traced[side], m["name"])
                           for side in ("base", "head")]
             cells = ["%.6g" % v if v else "-" for v in (base, head)]
             ratio = "%.3g" % (head / base) if base and head else "-"

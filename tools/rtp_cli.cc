@@ -754,20 +754,9 @@ int main(int argc, char** argv) {
       obs_options.prometheus = true;
       obs_options.prometheus_file = arg.substr(std::strlen("--prometheus="));
     } else if (arg.rfind("--log-level=", 0) == 0) {
-      std::string level(arg.substr(std::strlen("--log-level=")));
-      if (level == "debug") {
-        obs::SetLogLevel(obs::LogLevel::kDebug);
-      } else if (level == "info") {
-        obs::SetLogLevel(obs::LogLevel::kInfo);
-      } else if (level == "warn") {
-        obs::SetLogLevel(obs::LogLevel::kWarn);
-      } else if (level == "error") {
-        obs::SetLogLevel(obs::LogLevel::kError);
-      } else if (level == "off") {
-        obs::SetLogLevel(obs::LogLevel::kOff);
-      } else {
-        return Usage("--log-level must be debug|info|warn|error|off");
-      }
+      auto level = obs::ParseLogLevel(arg.substr(std::strlen("--log-level=")));
+      if (!level) return Usage("--log-level must be debug|info|warn|error|off");
+      obs::SetLogLevel(*level);
     } else if (arg.rfind("--trace-out=", 0) == 0) {
       obs_options.trace_file = arg.substr(std::strlen("--trace-out="));
       if (obs_options.trace_file.empty()) {

@@ -154,17 +154,9 @@ int main(int argc, char** argv) {
       }
       options.default_budget.max_memory_bytes = mb << 20;
     } else if (std::strncmp(arg, "--log-level=", 12) == 0) {
-      std::string level = arg + 12;
-      if (level == "debug") rtp::obs::SetLogLevel(rtp::obs::LogLevel::kDebug);
-      else if (level == "info") rtp::obs::SetLogLevel(rtp::obs::LogLevel::kInfo);
-      else if (level == "warn") rtp::obs::SetLogLevel(rtp::obs::LogLevel::kWarn);
-      else if (level == "error") {
-        rtp::obs::SetLogLevel(rtp::obs::LogLevel::kError);
-      } else if (level == "off") {
-        rtp::obs::SetLogLevel(rtp::obs::LogLevel::kOff);
-      } else {
-        return Usage("--log-level must be debug|info|warn|error|off");
-      }
+      auto level = rtp::obs::ParseLogLevel(arg + 12);
+      if (!level) return Usage("--log-level must be debug|info|warn|error|off");
+      rtp::obs::SetLogLevel(*level);
     } else {
       return Usage(("unknown flag '" + std::string(arg) + "'").c_str());
     }

@@ -31,10 +31,6 @@
 #                 each harness for RTP_FUZZ_SECONDS (default 30) seconds.
 #                 Non-zero on any crash / oracle violation. See
 #                 docs/FUZZING.md.
-#   obs-off       -DRTP_OBS_DISABLED=ON — full ctest suite with every
-#                 rtp::obs macro compiled to a no-op, so the disabled
-#                 path (and the tests' SKIP guards) cannot rot. See
-#                 docs/OBSERVABILITY.md.
 #   serve         builds rtpd + rtp_cli + the serve battery in the plain
 #                 and tsan trees, runs `ctest -L serve` in both, then
 #                 smoke-tests a real daemon: starts rtpd on a temp socket
@@ -72,17 +68,17 @@
 # usage: tools/run_ci.sh [leg] [build-dir-prefix]
 #
 #   leg               all (default) | plain | asan-ubsan | tsan | perf |
-#                     fuzz | obs-off | serve | load | chaos | format
+#                     fuzz | serve | load | chaos | format
 #   build-dir-prefix  defaults to ./build-ci; the build trees are
 #                     <prefix>-plain, <prefix>-asan-ubsan, <prefix>-tsan,
-#                     <prefix>-fuzz, <prefix>-obs-off.
+#                     <prefix>-fuzz.
 #
 # Exits non-zero on the first failing leg.
 set -euo pipefail
 
 leg="all"
 case "${1:-}" in
-  all|plain|asan-ubsan|tsan|perf|fuzz|obs-off|serve|load|chaos|format)
+  all|plain|asan-ubsan|tsan|perf|fuzz|serve|load|chaos|format)
     leg="$1"
     shift
     ;;
@@ -99,13 +95,10 @@ work_dirs=()
 trap 'kill "${started_pids[@]}" 2>/dev/null || true; rm -rf "${work_dirs[@]}"' EXIT
 
 run_leg() {
-  local name="$1" sanitize="$2" ctest_args="$3" extra_cmake="${4:-}"
+  local name="$1" sanitize="$2" ctest_args="$3"
   local build_dir="${prefix}-${name}"
-  echo "==== [$name] configure (RTP_SANITIZE='${sanitize}'" \
-    "${extra_cmake:+extra: $extra_cmake})" >&2
-  # shellcheck disable=SC2086  # extra_cmake is a deliberate word list
-  cmake -B "$build_dir" -S "$source_dir" -DRTP_SANITIZE="$sanitize" \
-    $extra_cmake > /dev/null
+  echo "==== [$name] configure (RTP_SANITIZE='${sanitize}')" >&2
+  cmake -B "$build_dir" -S "$source_dir" -DRTP_SANITIZE="$sanitize" > /dev/null
   echo "==== [$name] build" >&2
   cmake --build "$build_dir" -j "$jobs"
   echo "==== [$name] ctest $ctest_args" >&2
@@ -316,7 +309,6 @@ case "$leg" in
   plain)      run_leg plain      ""                  "" ;;
   asan-ubsan) run_leg asan-ubsan "address,undefined" "" ;;
   tsan)       run_leg tsan       "thread"            "-L exec|serve" ;;
-  obs-off)    run_leg obs-off    ""                  "" "-DRTP_OBS_DISABLED=ON" ;;
   perf)       run_perf ;;
   fuzz)       run_fuzz ;;
   serve)      run_serve ;;
@@ -328,7 +320,6 @@ case "$leg" in
     run_leg plain      ""                  ""
     run_leg asan-ubsan "address,undefined" ""
     run_leg tsan       "thread"            "-L exec|serve"
-    run_leg obs-off    ""                  "" "-DRTP_OBS_DISABLED=ON"
     run_serve
     run_load
     run_chaos
