@@ -1,5 +1,6 @@
 #include "fuzz/generators.h"
 
+#include <iterator>
 #include <optional>
 #include <vector>
 
@@ -301,6 +302,39 @@ std::string GenerateRandomBytes(Rng* rng, size_t max_len) {
   out.reserve(len);
   for (size_t i = 0; i < len; ++i) {
     out.push_back(kChars[rng->Below(sizeof(kChars) - 1)]);
+  }
+  return out;
+}
+
+std::string GenerateEscapeClassString(Rng* rng, size_t long_run) {
+  static constexpr std::string_view kSpecials = "\"\\/'<>&";
+  static constexpr std::string_view kUtf8[] = {
+      "\xc3\xa9", "\xe2\x82\xac", "\xf0\x9f\x8c\xb3"};  // é € 🌳
+  static constexpr std::string_view kPlain = "abcdefxyz 0123456789.,;:-_";
+  auto plain_run = [&](size_t len, std::string* out) {
+    for (size_t i = 0; i < len; ++i) {
+      out->push_back(kPlain[rng->Below(kPlain.size())]);
+    }
+  };
+  std::string out;
+  const uint64_t pieces = rng->Below(12);
+  const uint64_t long_at = rng->Below(pieces + 1);
+  for (uint64_t i = 0; i <= pieces; ++i) {
+    if (i == long_at) plain_run(long_run, &out);
+    if (i == pieces) break;
+    switch (rng->Below(4)) {
+      case 0:
+        out.push_back(kSpecials[rng->Below(kSpecials.size())]);
+        break;
+      case 1:
+        out.push_back(static_cast<char>(1 + rng->Below(0x1f)));
+        break;
+      case 2:
+        out.append(kUtf8[rng->Below(std::size(kUtf8))]);
+        break;
+      default:
+        plain_run(1 + rng->Below(16), &out);
+    }
   }
   return out;
 }

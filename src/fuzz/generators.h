@@ -60,6 +60,13 @@ std::string GenerateServeRequestLines(Rng* rng, const TextGenParams& params);
 // Printable byte soup (no structure), for pure robustness probing.
 std::string GenerateRandomBytes(Rng* rng, size_t max_len);
 
+// A string for the escapers and their decoders: pieces drawn from the
+// escape classes of JSON and XML ('"', '\\', '/', '\'', '<', '>', '&'),
+// every byte from 0x01 to 0x1f, two- to four-byte UTF-8 sequences and
+// short plain runs, plus, when `long_run` > 0, one run of that many plain
+// bytes.
+std::string GenerateEscapeClassString(Rng* rng, size_t long_run = 0);
+
 // Applies 1..max_edits random byte edits (erase / insert / overwrite /
 // duplicate a chunk) to `input`.
 std::string MutateBytes(std::string_view input, Rng* rng,

@@ -248,12 +248,16 @@ void RunServeHarness(const uint8_t* data, size_t size) {
   }
 
   // Every framed line runs the protocol decode (malformed bytes must
-  // yield a Status, never a crash); decodable requests must survive the
-  // encoder round-trip field-for-field.
+  // yield a Status, never a crash). Every value Parse returns must come
+  // back from Serialize unchanged, and decodable requests must survive
+  // the encoder round-trip field-for-field.
   for (const serve::LineFramer::Line& line : whole_lines) {
     if (line.oversized) continue;
     auto parsed = serve::JsonValue::Parse(line.text);
     if (!parsed.ok()) continue;
+    std::string serialized = parsed->Serialize();
+    auto reparsed = serve::JsonValue::Parse(serialized);
+    RTP_CHECK_MSG(reparsed.ok() && *reparsed == *parsed, serialized.c_str());
     auto req = serve::DecodeRequest(*parsed);
     if (!req.ok()) continue;
     auto round = serve::DecodeRequest(serve::EncodeRequest(*req));

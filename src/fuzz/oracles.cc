@@ -1,6 +1,9 @@
 #include "fuzz/oracles.h"
 
+#include <algorithm>
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -17,6 +20,10 @@
 #include "pattern/evaluator.h"
 #include "pattern/pattern_writer.h"
 #include "pattern/reference_evaluator.h"
+#include "serve/client.h"
+#include "serve/framing.h"
+#include "serve/json.h"
+#include "serve/protocol.h"
 #include "workload/random_pattern.h"
 #include "xml/xml_io.h"
 
@@ -420,6 +427,97 @@ Status CheckEmptinessVsReference(const automata::HedgeAutomaton& automaton,
   return Status::OK();
 }
 
+Status CheckEvalResponseBytes(uint64_t seed) {
+  Alphabet alphabet;
+  Rng rng(seed);
+  xml::Document doc(&alphabet);
+  std::vector<xml::NodeId> nodes = {doc.root()};
+  std::vector<xml::NodeId> elements = {doc.root()};
+  const uint64_t count = 1 + rng.Below(16);
+  for (uint64_t i = 0; i < count; ++i) {
+    xml::NodeId parent = elements[rng.Below(elements.size())];
+    const uint64_t kind = rng.Below(3);
+    if (kind == 0) {
+      elements.push_back(
+          doc.AddElement(parent, "e" + std::to_string(rng.Below(3))));
+      nodes.push_back(elements.back());
+    } else if (kind == 1 && parent != doc.root()) {
+      nodes.push_back(doc.AddAttribute(parent,
+                                       "@a" + std::to_string(rng.Below(3)),
+                                       GenerateEscapeClassString(&rng)));
+    } else {
+      nodes.push_back(doc.AddText(parent, GenerateEscapeClassString(&rng)));
+    }
+  }
+  // One value holds a plain run longer than a 64 KiB read.
+  nodes.push_back(doc.AddText(elements[rng.Below(elements.size())],
+                              GenerateEscapeClassString(&rng, 65'600)));
+
+  std::vector<std::vector<xml::NodeId>> tuples(rng.Below(6));
+  for (std::vector<xml::NodeId>& tuple : tuples) {
+    tuple.resize(1 + rng.Below(3));
+    for (xml::NodeId& n : tuple) n = nodes[rng.Below(nodes.size())];
+  }
+  const int64_t id = 1 + static_cast<int64_t>(rng.Below(1000));
+
+  std::vector<std::vector<std::string>> want;
+  serve::JsonValue rows = serve::JsonValue::Array();
+  for (const std::vector<xml::NodeId>& tuple : tuples) {
+    std::vector<std::string>& strings = want.emplace_back();
+    serve::JsonValue row = serve::JsonValue::Array();
+    for (xml::NodeId n : tuple) {
+      strings.push_back(xml::WriteXmlSubtree(doc, n, /*indent=*/false));
+      row.Push(serve::JsonValue::String(strings.back()));
+    }
+    rows.Push(std::move(row));
+  }
+  serve::JsonValue reference = serve::MakeOkResponse(id);
+  reference.Add("count",
+                serve::JsonValue::Int(static_cast<int64_t>(tuples.size())));
+  reference.Add("tuples", std::move(rows));
+  const std::string want_line = reference.Serialize();
+  const std::string line = serve::MakeEvalResponse(id, doc, tuples).Serialize();
+  if (line != want_line) {
+    size_t at = 0;
+    while (at < line.size() && at < want_line.size() &&
+           line[at] == want_line[at]) {
+      ++at;
+    }
+    return InternalError("eval response bytes differ from the JsonValue "
+                         "path at offset " + std::to_string(at) + " of " +
+                         std::to_string(want_line.size()));
+  }
+
+  // The wire: random chunk sizes, from one byte to beyond one 64 KiB read.
+  const std::string wire = line + "\n";
+  serve::LineFramer framer(std::numeric_limits<size_t>::max());
+  std::optional<serve::LineFramer::Line> framed;
+  for (size_t off = 0; off < wire.size();) {
+    size_t n = 1 + rng.Below(uint64_t{1} << rng.Below(18));
+    n = std::min(n, wire.size() - off);
+    framer.Feed(std::string_view(wire).substr(off, n));
+    off += n;
+    std::optional<serve::LineFramer::Line> next = framer.Next();
+    if (next.has_value() && (framed.has_value() || off != wire.size())) {
+      return InternalError("framer returned a line before the newline");
+    }
+    if (next.has_value()) framed = std::move(next);
+  }
+  if (!framed.has_value() || framed->oversized || framed->text != line ||
+      framer.HasBufferedData()) {
+    return InternalError("framer did not return the eval response line");
+  }
+  StatusOr<serve::JsonValue> parsed = serve::JsonValue::Parse(framed->text);
+  if (!parsed.ok()) return parsed.status();
+  StatusOr<serve::EvalResult> decoded =
+      serve::DecodeEvalResponse(std::move(parsed).value());
+  if (!decoded.ok()) return decoded.status();
+  if (decoded->tuples != want) {
+    return InternalError("decoded eval tuples differ from WriteXmlSubtree");
+  }
+  return Status::OK();
+}
+
 Status RunOracleBattery(uint64_t seed, const OracleOptions& options) {
   Alphabet alphabet;
   Rng rng(seed);
@@ -486,6 +584,8 @@ Status RunOracleBattery(uint64_t seed, const OracleOptions& options) {
       &alphabet)));
   RTP_RETURN_IF_ERROR(annotate(CheckEmptinessVsReference(
       GenerateHedgeAutomatonInstance(&alphabet, &rng), &alphabet)));
+
+  RTP_RETURN_IF_ERROR(annotate(CheckEvalResponseBytes(rng.Next())));
 
   return Status::OK();
 }

@@ -73,6 +73,18 @@ Status CheckCriterionVsBruteForce(const fd::FunctionalDependency& fd,
 Status CheckEmptinessVsReference(const automata::HedgeAutomaton& automaton,
                                  Alphabet* alphabet);
 
+// The served eval answer vs the generic JSON path, on a random document
+// whose text and attribute values come from GenerateEscapeClassString,
+// one of them holding a plain run longer than 64 KiB:
+//   - serve::MakeEvalResponse, which renders each subtree straight into
+//     the line, and MakeOkResponse plus one
+//     JsonValue::String(xml::WriteXmlSubtree(...)) per subtree must
+//     serialize to the same bytes;
+//   - that line, fed through a serve::LineFramer in random chunk sizes and
+//     decoded by serve::DecodeEvalResponse as Client::Eval decodes it,
+//     must give back the WriteXmlSubtree strings.
+Status CheckEvalResponseBytes(uint64_t seed);
+
 struct OracleOptions {
   int jobs = 8;             // parallel leg compared against serial
   uint32_t num_documents = 4;

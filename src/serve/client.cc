@@ -81,6 +81,26 @@ bool IsIdempotentOp(std::string_view op) {
   return op == "eval" || op == "checkfd" || op == "matrix" || op == "stats";
 }
 
+StatusOr<EvalResult> DecodeEvalResponse(JsonValue response) {
+  JsonValue* tuples = response.Find("tuples");
+  if (tuples == nullptr || !tuples->is_array()) {
+    return TransportError("eval response without 'tuples' array");
+  }
+  EvalResult result;
+  result.tuples.reserve(tuples->array_items().size());
+  for (JsonValue& row : tuples->mutable_array_items()) {
+    if (!row.is_array()) return TransportError("malformed eval tuple row");
+    std::vector<std::string> tuple;
+    tuple.reserve(row.array_items().size());
+    for (JsonValue& item : row.mutable_array_items()) {
+      if (!item.is_string()) return TransportError("malformed eval tuple");
+      tuple.push_back(std::move(item.mutable_string_value()));
+    }
+    result.tuples.push_back(std::move(tuple));
+  }
+  return result;
+}
+
 StatusOr<Client> Client::Connect(const std::string& socket_path,
                                  const ClientOptions& options) {
   RTP_ASSIGN_OR_RETURN(int fd, ConnectFd(socket_path));
@@ -174,7 +194,7 @@ Status Client::SendLine(const std::string& line) {
 
 StatusOr<std::string> Client::ReadLine() {
   if (fd_ < 0) return FailedPreconditionError("client is closed");
-  char chunk[4096];
+  char chunk[kReadChunkBytes];
   while (true) {
     std::optional<LineFramer::Line> line = framer_.Next();
     if (line.has_value()) return std::move(line->text);
@@ -257,10 +277,17 @@ StatusOr<JsonValue> Client::CallOnce(const Request& req,
         rejected.code() == StatusCode::kResourceExhausted) {
       return rejected;
     }
+    // Quote the line's start only: an eval answer runs to megabytes.
+    constexpr size_t kQuotedBytes = 200;
+    const std::string& line = *line_or;
+    std::string quoted = line.size() > kQuotedBytes
+                             ? line.substr(0, kQuotedBytes) + "..."
+                             : line;
     CloseBroken();
     return TransportError("response id mismatch (sent " +
-                          std::to_string(req.id) + ", got '" + *line_or +
-                          "')");
+                          std::to_string(req.id) + ", got a " +
+                          std::to_string(line.size()) + "-byte line '" +
+                          quoted + "')");
   }
   if (fault.kind == chaos::FaultKind::kResponseDelay) {
     chaos::SleepMs(fault.delay_ms);
@@ -368,23 +395,7 @@ StatusOr<EvalResult> Client::Eval(const std::string& tenant,
   req.doc = doc;
   req.text = pattern_text;
   RTP_ASSIGN_OR_RETURN(JsonValue response, Call(std::move(req), options.fault));
-  const JsonValue* tuples = response.Find("tuples");
-  if (tuples == nullptr || !tuples->is_array()) {
-    return TransportError("eval response without 'tuples' array");
-  }
-  EvalResult result;
-  result.tuples.reserve(tuples->array_items().size());
-  for (const JsonValue& row : tuples->array_items()) {
-    if (!row.is_array()) return TransportError("malformed eval tuple row");
-    std::vector<std::string> tuple;
-    tuple.reserve(row.array_items().size());
-    for (const JsonValue& item : row.array_items()) {
-      if (!item.is_string()) return TransportError("malformed eval tuple");
-      tuple.push_back(item.string_value());
-    }
-    result.tuples.push_back(std::move(tuple));
-  }
-  return result;
+  return DecodeEvalResponse(std::move(response));
 }
 
 StatusOr<CheckFdResult> Client::CheckFd(const std::string& tenant,

@@ -89,6 +89,11 @@ struct EvalResult {
   std::vector<std::vector<std::string>> tuples;
 };
 
+// Decodes the "tuples" of an eval response envelope, moving each string
+// out of `response` instead of copying it. Client::Eval's decoder; the
+// byte oracle fuzz::CheckEvalResponseBytes runs it too.
+StatusOr<EvalResult> DecodeEvalResponse(JsonValue response);
+
 struct CheckFdResult {
   bool satisfied = true;
   int64_t mappings = 0;

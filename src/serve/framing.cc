@@ -33,8 +33,17 @@ std::optional<LineFramer::Line> LineFramer::Next() {
       }
       return std::nullopt;
     }
-    std::string text = buffer_.substr(0, nl);
-    buffer_.erase(0, nl + 1);
+    std::string text;
+    if (nl + 1 == buffer_.size()) {
+      // The line ends the buffer: hand the buffer over instead of
+      // copying the line out of it.
+      text = std::move(buffer_);
+      text.pop_back();
+      buffer_.clear();
+    } else {
+      text = buffer_.substr(0, nl);
+      buffer_.erase(0, nl + 1);
+    }
     scanned_ = 0;
     if (text.size() > max_line_bytes_) {
       Line line;

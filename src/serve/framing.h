@@ -20,6 +20,10 @@
 
 namespace rtp::serve {
 
+// Bytes per recv() on both ends of a connection. An eval answer can run
+// to megabytes, and each read costs a syscall and a Feed().
+inline constexpr size_t kReadChunkBytes = 64 * 1024;
+
 class LineFramer {
  public:
   struct Line {

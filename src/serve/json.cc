@@ -192,8 +192,10 @@ class Parser {
         continue;
       }
       if (c < 0x20) return Error("unescaped control character in string");
-      out->push_back(static_cast<char>(c));
-      ++pos_;
+      // A run of plain bytes goes in with one append.
+      size_t end = FindJsonEscape(text_, pos_ + 1);
+      out->append(text_.data() + pos_, end - pos_);
+      pos_ = end;
     }
   }
 
@@ -273,7 +275,14 @@ class Parser {
     // The slice is a valid JSON number grammar-wise; strtod cannot fail on
     // it (it may round, which is fine for protocol-scale integers).
     std::string slice(text_.substr(start, pos_ - start));
-    *out = JsonValue::Number(std::strtod(slice.c_str(), nullptr));
+    double value = std::strtod(slice.c_str(), nullptr);
+    if (!std::isfinite(value)) {
+      // Beyond the double range: Serialize has no spelling for the
+      // infinity it would become, so Parse(Serialize(v)) could not be v.
+      pos_ = start;
+      return Error("number out of range");
+    }
+    *out = JsonValue::Number(value);
     return Status::OK();
   }
 
@@ -309,6 +318,12 @@ void SerializeTo(const JsonValue& v, std::string* out) {
     }
     case JsonValue::Kind::kString:
       AppendJsonString(out, v.string_value());
+      break;
+    case JsonValue::Kind::kRaw:
+      // Room for the rest of a response envelope as well, so that closing
+      // it does not copy the rendered text once more.
+      out->reserve(out->size() + v.string_value().size() + 256);
+      out->append(v.string_value());
       break;
     case JsonValue::Kind::kArray: {
       out->push_back('[');
@@ -390,6 +405,7 @@ bool JsonValue::MatchesWithWildcards(const JsonValue& other) const {
     case Kind::kNumber:
       return number_ == other.number_;
     case Kind::kString:
+    case Kind::kRaw:
       return string_ == other.string_;
     case Kind::kArray: {
       if (array_.size() != other.array_.size()) return false;

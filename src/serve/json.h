@@ -36,6 +36,7 @@ class JsonValue {
     kString,
     kArray,
     kObject,
+    kRaw,  // already-rendered JSON text; see Raw()
   };
 
   // Parses exactly one JSON value spanning the whole input (trailing
@@ -46,7 +47,7 @@ class JsonValue {
                                    size_t max_depth = 64);
 
   // Compact single-line serialization (no spaces, keys in insertion
-  // order). Parse(Serialize(v)) reproduces v exactly.
+  // order). Parse(Serialize(v)) == v for every v that Parse returns.
   std::string Serialize() const;
 
   // Constructors for building values.
@@ -83,6 +84,16 @@ class JsonValue {
     v.kind_ = Kind::kObject;
     return v;
   }
+  // A value that Serialize writes as `json`, verbatim; the caller
+  // guarantees `json` is one valid JSON value. Parse never produces one.
+  // It lets a writer render a large array straight into its text and
+  // still take the envelope around it from the usual builders.
+  static JsonValue Raw(std::string json) {
+    JsonValue v;
+    v.kind_ = Kind::kRaw;
+    v.string_ = std::move(json);
+    return v;
+  }
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
@@ -107,6 +118,11 @@ class JsonValue {
     return object_;
   }
 
+  // Mutable access, so a decoder can move strings out of a parsed value
+  // instead of copying them.
+  std::string& mutable_string_value() { return string_; }
+  std::vector<JsonValue>& mutable_array_items() { return array_; }
+
   // Array building.
   JsonValue& Push(JsonValue item) {
     array_.push_back(std::move(item));
@@ -122,6 +138,9 @@ class JsonValue {
 
   // First member named `key`, or nullptr (also for non-objects).
   const JsonValue* Find(std::string_view key) const;
+  JsonValue* Find(std::string_view key) {
+    return const_cast<JsonValue*>(std::as_const(*this).Find(key));
+  }
 
   // Convenience typed lookups with defaults (missing key / wrong kind
   // yield the default, as does a number that is not is_int() for FindInt
@@ -136,6 +155,9 @@ class JsonValue {
   // "*" in `pattern` (this) matches anything in `other` — the transcript
   // wildcard for volatile fields like trip messages.
   bool MatchesWithWildcards(const JsonValue& other) const;
+
+  // Exact structural equality: kinds, values, element and member order.
+  friend bool operator==(const JsonValue&, const JsonValue&) = default;
 
  private:
   Kind kind_ = Kind::kNull;

@@ -1,5 +1,8 @@
 #include "serve/protocol.h"
 
+#include "common/json_string.h"
+#include "xml/xml_io.h"
+
 namespace rtp::serve {
 namespace {
 
@@ -187,6 +190,29 @@ JsonValue MakeErrorResponse(int64_t id, const Status& status) {
   error.Add("message", JsonValue::String(status.message()));
   v.Add("error", std::move(error));
   return v;
+}
+
+JsonValue MakeEvalResponse(
+    int64_t id, const xml::Document& doc,
+    const std::vector<std::vector<xml::NodeId>>& tuples) {
+  std::string rows = "[";
+  std::string subtree;
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    if (i > 0) rows.push_back(',');
+    rows.push_back('[');
+    for (size_t j = 0; j < tuples[i].size(); ++j) {
+      if (j > 0) rows.push_back(',');
+      subtree.clear();
+      xml::AppendXmlSubtree(doc, tuples[i][j], /*indent=*/false, &subtree);
+      AppendJsonString(&rows, subtree);
+    }
+    rows.push_back(']');
+  }
+  rows.push_back(']');
+  JsonValue response = MakeOkResponse(id);
+  response.Add("count", JsonValue::Int(static_cast<int64_t>(tuples.size())));
+  response.Add("tuples", JsonValue::Raw(std::move(rows)));
+  return response;
 }
 
 JsonValue MakeShedResponse(int64_t id, int64_t retry_after_ms) {

@@ -33,6 +33,7 @@
 #include "common/status.h"
 #include "guard/guard.h"
 #include "serve/json.h"
+#include "xml/document.h"
 
 namespace rtp::serve {
 
@@ -86,6 +87,15 @@ JsonValue EncodeRequest(const Request& req);
 // success envelope.
 JsonValue MakeOkResponse(int64_t id);
 JsonValue MakeErrorResponse(int64_t id, const Status& status);
+
+// The success envelope of an eval answer: "count", then "tuples" in the
+// order given. Each subtree is rendered by xml::AppendXmlSubtree into one
+// reused buffer and escaped straight into the text of the "tuples" array,
+// a JsonValue::Raw, so no JsonValue is built per tuple. The serialized
+// bytes equal those of one JsonValue::String(xml::WriteXmlSubtree(...))
+// per subtree (fuzz::CheckEvalResponseBytes).
+JsonValue MakeEvalResponse(int64_t id, const xml::Document& doc,
+                           const std::vector<std::vector<xml::NodeId>>& tuples);
 
 // Overload shed: RESOURCE_EXHAUSTED plus a "retry_after_ms" backoff hint
 // inside the error object. Only queue-full sheds carry the hint — budget

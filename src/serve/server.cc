@@ -4,6 +4,7 @@
 #include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -38,11 +39,23 @@
 namespace rtp::serve {
 namespace {
 
-bool SendAll(int fd, const std::string& data) {
+// Sends `line` and its '\n' terminator, gathered by sendmsg, so a large
+// response is not copied to append the newline.
+bool SendLine(int fd, std::string_view line) {
+  char newline = '\n';
   size_t off = 0;
-  while (off < data.size()) {
+  while (off <= line.size()) {
+    struct iovec iov[2];
+    size_t n_iov = 0;
+    if (off < line.size()) {
+      iov[n_iov++] = {const_cast<char*>(line.data() + off), line.size() - off};
+    }
+    iov[n_iov++] = {&newline, 1};
+    struct msghdr msg = {};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = n_iov;
     // MSG_NOSIGNAL: a vanished peer must surface as EPIPE, not SIGPIPE.
-    ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -349,7 +362,7 @@ void Server::ServeConnection(Connection* conn) {
   // framer reassembles complete lines, bounding memory for oversized ones.
   LineFramer framer(options_.max_line_bytes);
   bool alive = true;
-  char chunk[4096];
+  char chunk[kReadChunkBytes];
   int64_t last_activity_ns = guard::MonotonicNowNs();
   while (alive) {
     while (alive) {
@@ -357,20 +370,18 @@ void Server::ServeConnection(Connection* conn) {
       if (!line.has_value()) break;
       if (line->oversized) {
         RTP_OBS_COUNT("serve.errors.oversized");
-        std::string response =
+        alive = SendLine(
+            conn->fd,
             MakeErrorResponse(
                 0, ResourceExhaustedError(
                        "request line exceeds " +
                        std::to_string(options_.max_line_bytes) + " bytes"))
-                .Serialize();
-        response.push_back('\n');
-        alive = SendAll(conn->fd, response);
+                .Serialize());
         continue;
       }
       std::string response = HandleLine(conn, line->text);
       if (response.empty()) continue;  // reply already sent (shutdown)
-      response.push_back('\n');
-      alive = SendAll(conn->fd, response);
+      alive = SendLine(conn->fd, response);
       last_activity_ns = guard::MonotonicNowNs();
     }
     if (!alive) break;
@@ -440,9 +451,7 @@ std::string Server::HandleLine(Connection* conn, const std::string& line) {
     // socket down, so the acknowledgement must already be in flight.
     response = MakeOkResponse(req.id);
     response.Add("stopping", JsonValue::Bool(true));
-    std::string framed = response.Serialize();
-    framed.push_back('\n');
-    SendAll(conn->fd, framed);
+    SendLine(conn->fd, response.Serialize());
     std::lock_guard<std::mutex> lock(mu_);
     stop_requested_ = true;
     stop_cv_.notify_all();
@@ -604,8 +613,7 @@ JsonValue Server::HandleEval(Tenant& tenant, const Request& req,
   if (!parsed.ok()) return MakeErrorResponse(req.id, parsed.status());
 
   obs::QueryProfile profile;
-  JsonValue tuples_json = JsonValue::Array();
-  size_t count = 0;
+  JsonValue response;
   {
     // Evaluation and serialization read only the frozen index and the
     // names of ids already interned, so they take no lock.
@@ -634,19 +642,8 @@ JsonValue Server::HandleEval(Tenant& tenant, const Request& req,
                 }
                 return a.size() < b.size();
               });
-    count = tuples.size();
-    for (const auto& tuple : tuples) {
-      JsonValue row = JsonValue::Array();
-      for (xml::NodeId n : tuple) {
-        row.Push(JsonValue::String(
-            xml::WriteXmlSubtree(doc, n, /*indent=*/false)));
-      }
-      tuples_json.Push(std::move(row));
-    }
+    response = MakeEvalResponse(req.id, doc, tuples);
   }
-  JsonValue response = MakeOkResponse(req.id);
-  response.Add("count", JsonValue::Int(static_cast<int64_t>(count)));
-  response.Add("tuples", std::move(tuples_json));
   if (req.profile) AttachProfile(&response, profile);
   return response;
 }

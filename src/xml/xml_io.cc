@@ -209,19 +209,27 @@ class Parser {
   Document doc_;
 };
 
+// Appends `raw` with XML's special characters as entities; each run of
+// bytes that needs none is appended at once.
 void EncodeInto(std::string_view raw, bool attribute, std::string* out) {
-  for (char c : raw) {
-    switch (c) {
-      case '<': out->append("&lt;"); break;
-      case '>': out->append("&gt;"); break;
-      case '&': out->append("&amp;"); break;
+  size_t run = 0;
+  for (size_t i = 0; i < raw.size(); ++i) {
+    std::string_view entity;
+    switch (raw[i]) {
+      case '<': entity = "&lt;"; break;
+      case '>': entity = "&gt;"; break;
+      case '&': entity = "&amp;"; break;
       case '"':
-        if (attribute) out->append("&quot;");
-        else out->push_back(c);
+        if (!attribute) continue;
+        entity = "&quot;";
         break;
-      default: out->push_back(c);
+      default: continue;
     }
+    out->append(raw.data() + run, i - run);
+    out->append(entity);
+    run = i + 1;
   }
+  out->append(raw.data() + run, raw.size() - run);
 }
 
 void WriteElement(const Document& doc, NodeId n, bool indent, int depth,
@@ -232,21 +240,30 @@ void WriteElement(const Document& doc, NodeId n, bool indent, int depth,
   pad(depth);
   out->push_back('<');
   out->append(doc.label_name(n));
-  // Attributes first.
-  std::vector<NodeId> content;
+  // The first pass writes the attributes and notes what content follows;
+  // the second writes the content.
+  bool has_content = false;
+  bool has_text = false;
   for (NodeId c = doc.first_child(n); c != kInvalidNode;
        c = doc.next_sibling(c)) {
-    if (doc.type(c) == NodeType::kAttribute) {
-      out->push_back(' ');
-      out->append(doc.label_name(c).substr(1));  // strip '@'
-      out->append("=\"");
-      EncodeInto(doc.value(c), /*attribute=*/true, out);
-      out->push_back('"');
-    } else {
-      content.push_back(c);
+    switch (doc.type(c)) {
+      case NodeType::kAttribute:
+        out->push_back(' ');
+        out->append(std::string_view(doc.label_name(c)).substr(1));  // '@'
+        out->append("=\"");
+        EncodeInto(doc.value(c), /*attribute=*/true, out);
+        out->push_back('"');
+        break;
+      case NodeType::kText:
+        has_text = true;
+        has_content = true;
+        break;
+      case NodeType::kElement:
+        has_content = true;
+        break;
     }
   }
-  if (content.empty()) {
+  if (!has_content) {
     out->append("/>");
     if (indent) out->push_back('\n');
     return;
@@ -255,15 +272,12 @@ void WriteElement(const Document& doc, NodeId n, bool indent, int depth,
   // Any whitespace the pretty-printer inserts next to a text run merges
   // into that run's value on reparse, so content with text children —
   // text-only and mixed alike — is written inline, without indentation.
-  bool has_text = false;
-  for (NodeId c : content) {
-    if (doc.type(c) == NodeType::kText) has_text = true;
-  }
   if (!has_text && indent) out->push_back('\n');
-  for (NodeId c : content) {
+  for (NodeId c = doc.first_child(n); c != kInvalidNode;
+       c = doc.next_sibling(c)) {
     if (doc.type(c) == NodeType::kText) {
       EncodeInto(doc.value(c), /*attribute=*/false, out);
-    } else {
+    } else if (doc.type(c) == NodeType::kElement) {
       WriteElement(doc, c, indent && !has_text, depth + 1, out);
     }
   }
@@ -285,23 +299,28 @@ StatusOr<Document> ParseXml(Alphabet* alphabet, std::string_view input) {
   return doc;
 }
 
-std::string WriteXmlSubtree(const Document& doc, NodeId n, bool indent) {
-  std::string out;
+void AppendXmlSubtree(const Document& doc, NodeId n, bool indent,
+                      std::string* out) {
   if (doc.type(n) == NodeType::kElement && doc.label(n) != Alphabet::kRootLabel) {
-    WriteElement(doc, n, indent, 0, &out);
+    WriteElement(doc, n, indent, 0, out);
   } else if (doc.label(n) == Alphabet::kRootLabel) {
     for (NodeId c = doc.first_child(n); c != kInvalidNode;
          c = doc.next_sibling(c)) {
       if (doc.type(c) == NodeType::kText) {
-        EncodeInto(doc.value(c), /*attribute=*/false, &out);
+        EncodeInto(doc.value(c), /*attribute=*/false, out);
       } else {
-        WriteElement(doc, c, indent, 0, &out);
+        WriteElement(doc, c, indent, 0, out);
       }
     }
   } else {
     // Leaf: render its value.
-    out = doc.value(n);
+    out->append(doc.value(n));
   }
+}
+
+std::string WriteXmlSubtree(const Document& doc, NodeId n, bool indent) {
+  std::string out;
+  AppendXmlSubtree(doc, n, indent, &out);
   return out;
 }
 

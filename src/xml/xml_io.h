@@ -21,8 +21,14 @@ StatusOr<Document> ParseXml(Alphabet* alphabet, std::string_view input);
 // children). `indent` pretty-prints with 2-space indentation.
 std::string WriteXml(const Document& doc, bool indent = true);
 
-// Serializes the subtree rooted at `n`.
+// Serializes the subtree rooted at `n`: an element as XML, the root as
+// its children, an attribute or text leaf as its raw value.
 std::string WriteXmlSubtree(const Document& doc, NodeId n, bool indent = true);
+
+// The same bytes, appended to `out`, so a caller that renders many
+// subtrees can reuse one buffer.
+void AppendXmlSubtree(const Document& doc, NodeId n, bool indent,
+                      std::string* out);
 
 }  // namespace rtp::xml
 

@@ -90,6 +90,16 @@ TEST_F(CliSocketTest, EvalMatchesSerial) {
                            Data("exam.xml"));
 }
 
+// The selected subtrees carry attributes and every JSON and XML escape
+// class, so the served answer's writer and decoder are checked byte for
+// byte against the serial rendering.
+TEST_F(CliSocketTest, EscapesEvalMatchesSerial) {
+  const std::string args =
+      "eval " + Data("escapes.pattern") + " " + Data("escapes.xml");
+  EXPECT_EQ(RunCli(args).stdout_text.rfind("3 tuple(s)\n", 0), 0u);
+  ExpectServedEqualsSerial(args);
+}
+
 TEST_F(CliSocketTest, CheckFdMatchesSerial) {
   ExpectServedEqualsSerial("checkfd " + Data("fd1.fd") + " " +
                            Data("exam.xml"));

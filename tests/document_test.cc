@@ -245,6 +245,67 @@ TEST(XmlIoTest, RootTextChildrenAreWrittenAsValues) {
   EXPECT_EQ(WriteXml(doc), "v0<a>v1v2</a>\n");
 }
 
+// Pins WriteXmlSubtree's bytes, which the served eval answer carries:
+// escaped attribute values, mixed content, an empty element, a text
+// child of the root and nesting, with indentation on and off.
+TEST(XmlIoTest, SubtreeBytesAreGolden) {
+  Alphabet alphabet;
+  Document doc(&alphabet);
+  doc.AddText(doc.root(), "lead & <in>");
+  NodeId top = doc.AddElement(doc.root(), "top");
+  doc.AddAttribute(top, "@a", "q\"&<>'");
+  doc.AddAttribute(top, "@b", "plain");
+  doc.AddElement(top, "empty");
+  NodeId mixed = doc.AddElement(top, "mixed");
+  doc.AddText(mixed, "one ");
+  NodeId bold = doc.AddElement(mixed, "b");
+  doc.AddText(bold, "two");
+  doc.AddText(mixed, " three & \"four\" > 5");
+  NodeId nest = doc.AddElement(top, "nest");
+  doc.AddAttribute(nest, "@x", "1");
+  NodeId inner = doc.AddElement(nest, "inner");
+  NodeId leaf = doc.AddElement(inner, "leaf");
+  doc.AddText(leaf, "v");
+  NodeId e2 = doc.AddElement(nest, "e2");
+  NodeId y = doc.AddAttribute(e2, "@y", "<&>");
+
+  const std::string kTopFlat =
+      "<top a=\"q&quot;&amp;&lt;&gt;'\" b=\"plain\"><empty/>"
+      "<mixed>one <b>two</b> three &amp; \"four\" &gt; 5</mixed>"
+      "<nest x=\"1\"><inner><leaf>v</leaf></inner>"
+      "<e2 y=\"&lt;&amp;&gt;\"/></nest></top>";
+  const std::string kTopIndented =
+      "<top a=\"q&quot;&amp;&lt;&gt;'\" b=\"plain\">\n"
+      "  <empty/>\n"
+      "  <mixed>one <b>two</b> three &amp; \"four\" &gt; 5</mixed>\n"
+      "  <nest x=\"1\">\n"
+      "    <inner>\n"
+      "      <leaf>v</leaf>\n"
+      "    </inner>\n"
+      "    <e2 y=\"&lt;&amp;&gt;\"/>\n"
+      "  </nest>\n"
+      "</top>\n";
+  EXPECT_EQ(WriteXmlSubtree(doc, doc.root(), /*indent=*/false),
+            "lead &amp; &lt;in&gt;" + kTopFlat);
+  EXPECT_EQ(WriteXmlSubtree(doc, doc.root(), /*indent=*/true),
+            "lead &amp; &lt;in&gt;" + kTopIndented);
+  EXPECT_EQ(WriteXmlSubtree(doc, top, /*indent=*/false), kTopFlat);
+  EXPECT_EQ(WriteXmlSubtree(doc, top, /*indent=*/true), kTopIndented);
+  EXPECT_EQ(WriteXmlSubtree(doc, nest, /*indent=*/true),
+            "<nest x=\"1\">\n"
+            "  <inner>\n"
+            "    <leaf>v</leaf>\n"
+            "  </inner>\n"
+            "  <e2 y=\"&lt;&amp;&gt;\"/>\n"
+            "</nest>\n");
+  EXPECT_EQ(WriteXmlSubtree(doc, mixed, /*indent=*/true),
+            "<mixed>one <b>two</b> three &amp; \"four\" &gt; 5</mixed>\n");
+  // A leaf renders its raw value, escaped by nothing.
+  EXPECT_EQ(WriteXmlSubtree(doc, y, /*indent=*/true), "<&>");
+  EXPECT_EQ(WriteXmlSubtree(doc, doc.first_child(mixed), /*indent=*/false),
+            "one ");
+}
+
 TEST(XmlIoTest, SelfClosingAndComments) {
   Alphabet alphabet;
   auto doc = ParseXml(&alphabet,

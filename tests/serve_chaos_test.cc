@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -341,39 +342,67 @@ TEST_F(ClientChaosTest, RetriesExhaustToStructuredStatus) {
       << result.status().ToString();
 }
 
+// A listening socket scripted by the test: `on_connection` runs on the
+// accepting thread for each accepted connection, whose fd stays open
+// until the ScriptedServer is destroyed.
+class ScriptedServer {
+ public:
+  explicit ScriptedServer(std::function<void(int fd)> on_connection)
+      : path_(TempSocketPath()) {
+    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    EXPECT_GE(listen_fd_, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path_.c_str(), sizeof(addr.sun_path) - 1);
+    ::unlink(path_.c_str());
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    EXPECT_EQ(::listen(listen_fd_, 4), 0);
+    thread_ = std::thread([this, on_connection = std::move(on_connection)] {
+      while (!stop_.load()) {
+        pollfd p{listen_fd_, POLLIN, 0};
+        if (::poll(&p, 1, 50) > 0) {
+          int fd = ::accept(listen_fd_, nullptr, nullptr);
+          if (fd >= 0) {
+            fds_.push_back(fd);
+            on_connection(fd);
+          }
+        }
+      }
+    });
+  }
+  ScriptedServer(const ScriptedServer&) = delete;
+  ScriptedServer& operator=(const ScriptedServer&) = delete;
+  ~ScriptedServer() {
+    stop_.store(true);
+    thread_.join();
+    for (int fd : fds_) ::close(fd);
+    ::close(listen_fd_);
+    ::unlink(path_.c_str());
+  }
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+  int listen_fd_ = -1;
+  std::atomic<bool> stop_{false};
+  std::vector<int> fds_;  // the accepting thread's until the join
+  std::thread thread_;
+};
+
 // A server that accepts but never answers: the call must come back as
 // UNAVAILABLE within the configured deadline, not hang the thread.
 TEST(ClientDeadlineTest, SilentServerSurfacesAsUnavailableNotAHang) {
-  std::string path = TempSocketPath();
-  int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(listen_fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  ::unlink(path.c_str());
-  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr)),
-            0);
-  ASSERT_EQ(::listen(listen_fd, 4), 0);
-  std::atomic<bool> stop{false};
-  std::thread accepter([listen_fd, &stop] {
-    std::vector<int> fds;
-    while (!stop.load()) {
-      pollfd p{listen_fd, POLLIN, 0};
-      if (::poll(&p, 1, 50) > 0) {
-        int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd >= 0) fds.push_back(fd);  // accept, then stay silent
-      }
-    }
-    for (int fd : fds) ::close(fd);
-  });
+  ScriptedServer server([](int) {});  // accept, then stay silent
 
   ClientOptions options;
   options.call_timeout_ms = 300;
   options.retry.max_attempts = 2;
   options.retry.initial_backoff_ms = 1;
   options.retry.max_backoff_ms = 2;
-  auto client_or = Client::Connect(path, options);
+  auto client_or = Client::Connect(server.path(), options);
   ASSERT_TRUE(client_or.ok()) << client_or.status().ToString();
   Client client = std::move(client_or).value();
 
@@ -386,11 +415,42 @@ TEST(ClientDeadlineTest, SilentServerSurfacesAsUnavailableNotAHang) {
   // One deadline's worth of waiting plus scheduling slack — far below a
   // hang, and the retry loop must not restart the clock.
   EXPECT_LT(elapsed_ms, 3000);
+}
 
-  stop.store(true);
-  accepter.join();
-  ::close(listen_fd);
-  ::unlink(path.c_str());
+// A server that answers with another request's id on a 2 MB line: the
+// TRANSPORT_ERROR quotes the line's first 200 bytes and gives its length,
+// instead of carrying the whole line to whoever prints it.
+TEST(ClientIdMismatchTest, LongLineIsQuotedByItsStartAndLength) {
+  const std::string line = "{\"id\":999,\"ok\":true,\"v\":1,\"tuples\":[[\"" +
+                           std::string(2'000'000, 'x') + "\"]]}";
+  ScriptedServer server([&line](int fd) {
+    char c = 0;
+    while (::recv(fd, &c, 1, 0) == 1 && c != '\n') {
+    }
+    const std::string framed = line + "\n";
+    size_t off = 0;
+    while (off < framed.size()) {
+      ssize_t n = ::send(fd, framed.data() + off, framed.size() - off,
+                         MSG_NOSIGNAL);
+      if (n <= 0) break;
+      off += static_cast<size_t>(n);
+    }
+  });
+
+  ClientOptions options;
+  options.call_timeout_ms = 10'000;
+  auto client_or = Client::Connect(server.path(), options);
+  ASSERT_TRUE(client_or.ok()) << client_or.status().ToString();
+  Client client = std::move(client_or).value();
+  auto result = client.Call(EvalRequest());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kTransportError);
+  const std::string message = result.status().message();
+  EXPECT_LT(message.size(), 400u) << message.substr(0, 400);
+  EXPECT_NE(message.find("got a " + std::to_string(line.size()) +
+                         "-byte line '" + line.substr(0, 200) + "...'"),
+            std::string::npos)
+      << message.substr(0, 400);
 }
 
 TEST(ClientChaosConnectTest, ConnectToMissingSocketIsUnavailable) {
