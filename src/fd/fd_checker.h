@@ -81,8 +81,8 @@ struct BatchCheckOptions {
 // document serially, for every jobs value.
 //
 // Thread-safety contract: each document is visited by exactly one task, so
-// `docs` must not contain the same Document twice (Document caches its
-// preorder index lazily and is not internally synchronized).
+// `docs` must not contain the same Document twice (Document builds its
+// snapshot lazily and is not internally synchronized).
 std::vector<CheckResult> CheckFdBatch(
     const FunctionalDependency& fd,
     const std::vector<const xml::Document*>& docs,

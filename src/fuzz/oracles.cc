@@ -25,6 +25,7 @@
 #include "serve/json.h"
 #include "serve/protocol.h"
 #include "workload/random_pattern.h"
+#include "xml/doc_index.h"
 #include "xml/xml_io.h"
 
 namespace rtp::fuzz {
@@ -43,6 +44,17 @@ std::set<std::vector<xml::NodeId>> ReferenceSelectedTuples(
     tuples.insert(tuple);
   }
   return tuples;
+}
+
+// Each live node's position in a Document::Visit, kNoRank for the rest.
+std::vector<uint32_t> VisitPositions(const xml::Document& doc) {
+  std::vector<uint32_t> position(doc.ArenaSize(), xml::DocIndex::kNoRank);
+  uint32_t next = 0;
+  doc.Visit([&](xml::NodeId n) {
+    position[n] = next++;
+    return true;
+  });
+  return position;
 }
 
 std::string TupleSetSummary(const std::set<std::vector<xml::NodeId>>& tuples) {
@@ -289,6 +301,25 @@ Status CheckDenseVsReference(const pattern::TreePattern& pattern,
         TupleSetSummary(reference) + " pattern:\n" +
         pattern::PatternToDsl(pattern, doc.alphabet()));
   }
+  // Document order, on preorder positions counted here rather than read
+  // from the snapshot. Strictly increasing also rules out duplicates.
+  const std::vector<uint32_t> position = VisitPositions(doc);
+  auto positions = [&position](const std::vector<xml::NodeId>& tuple) {
+    std::vector<uint32_t> out;
+    for (xml::NodeId n : tuple) out.push_back(position[n]);
+    return out;
+  };
+  for (size_t i = 1; i < dense.size(); ++i) {
+    if (!(positions(dense[i - 1]) < positions(dense[i]))) {
+      RTP_RETURN_IF_ERROR(guard::CurrentStatus());
+      return InternalError(
+          "dense tuples " + std::to_string(i - 1) + " and " +
+          std::to_string(i) + " are not in strictly increasing document "
+          "order: " + TupleSetSummary({dense[i - 1]}) + " then " +
+          TupleSetSummary({dense[i]}) + "; pattern:\n" +
+          pattern::PatternToDsl(pattern, doc.alphabet()));
+    }
+  }
   return Status::OK();
 }
 
@@ -453,19 +484,40 @@ Status CheckEvalResponseBytes(uint64_t seed) {
   nodes.push_back(doc.AddText(elements[rng.Below(elements.size())],
                               GenerateEscapeClassString(&rng, 65'600)));
 
-  std::vector<std::vector<xml::NodeId>> tuples(rng.Below(6));
-  for (std::vector<xml::NodeId>& tuple : tuples) {
-    tuple.resize(1 + rng.Below(3));
-    for (xml::NodeId& n : tuple) n = nodes[rng.Below(nodes.size())];
+  // One arity per answer. Half the draws force repeats: tuple 0 is the
+  // long run's node in every position and each later tuple opens with it,
+  // so it repeats within a tuple (when the arity is above 1) and across
+  // tuples. Its 64 KiB string is copied at least three times after it is
+  // first rendered, which outgrows the line's buffer during one of those
+  // copies of the line onto itself.
+  pattern::SelectedTuples tuples;
+  tuples.arity = 1 + rng.Below(3);
+  const xml::NodeId long_run = nodes.back();
+  if (rng.Below(2) == 0) {
+    const xml::NodeId pool[] = {long_run, nodes[rng.Below(nodes.size())],
+                                nodes[rng.Below(nodes.size())]};
+    tuples.count = 4 + rng.Below(3);
+    for (size_t i = 0; i < tuples.count; ++i) {
+      for (size_t j = 0; j < tuples.arity; ++j) {
+        tuples.nodes.push_back(i == 0 || j == 0 ? long_run
+                                                : pool[rng.Below(3)]);
+      }
+    }
+  } else {
+    tuples.count = rng.Below(6);
+    for (size_t i = 0; i < tuples.count * tuples.arity; ++i) {
+      tuples.nodes.push_back(nodes[rng.Below(nodes.size())]);
+    }
   }
   const int64_t id = 1 + static_cast<int64_t>(rng.Below(1000));
 
   std::vector<std::vector<std::string>> want;
   serve::JsonValue rows = serve::JsonValue::Array();
-  for (const std::vector<xml::NodeId>& tuple : tuples) {
+  for (size_t i = 0; i < tuples.count; ++i) {
     std::vector<std::string>& strings = want.emplace_back();
     serve::JsonValue row = serve::JsonValue::Array();
-    for (xml::NodeId n : tuple) {
+    for (size_t j = 0; j < tuples.arity; ++j) {
+      const xml::NodeId n = tuples.nodes[i * tuples.arity + j];
       strings.push_back(xml::WriteXmlSubtree(doc, n, /*indent=*/false));
       row.Push(serve::JsonValue::String(strings.back()));
     }
@@ -473,7 +525,7 @@ Status CheckEvalResponseBytes(uint64_t seed) {
   }
   serve::JsonValue reference = serve::MakeOkResponse(id);
   reference.Add("count",
-                serve::JsonValue::Int(static_cast<int64_t>(tuples.size())));
+                serve::JsonValue::Int(static_cast<int64_t>(tuples.count)));
   reference.Add("tuples", std::move(rows));
   const std::string want_line = reference.Serialize();
   const std::string line = serve::MakeEvalResponse(id, doc, tuples).Serialize();
@@ -514,6 +566,108 @@ Status CheckEvalResponseBytes(uint64_t seed) {
   if (!decoded.ok()) return decoded.status();
   if (decoded->tuples != want) {
     return InternalError("decoded eval tuples differ from WriteXmlSubtree");
+  }
+  return Status::OK();
+}
+
+Status CheckRankColumn(uint64_t seed) {
+  Alphabet alphabet;
+  Rng rng(seed);
+  auto random_tree = [&](uint32_t max_nodes) {
+    workload::RandomTreeParams params;
+    params.seed = rng.Next();
+    params.max_nodes = max_nodes;
+    return workload::GenerateRandomTree(&alphabet, params);
+  };
+  xml::Document doc = random_tree(24);
+  xml::Document source = random_tree(6);
+  std::vector<xml::NodeId> source_nodes;
+  source.Visit([&](xml::NodeId n) {
+    if (n != source.root()) source_nodes.push_back(n);
+    return true;
+  });
+  if (source_nodes.empty()) {
+    source_nodes.push_back(source.AddElement(source.root(), "l0"));
+  }
+
+  std::string last = "the first snapshot";
+  for (int step = 0;; ++step) {
+    const std::vector<uint32_t> position = VisitPositions(doc);
+    std::vector<xml::NodeId> live;
+    for (xml::NodeId n = 0; n < doc.ArenaSize(); ++n) {
+      if (position[n] != xml::DocIndex::kNoRank) live.push_back(n);
+    }
+    auto fail = [&](const std::string& what) {
+      return InternalError("rank column after " + last + ": " + what);
+    };
+    // Half the time the order queries build the snapshot, half the time
+    // Snapshot() does.
+    const bool order_first = rng.Below(2) == 0;
+    auto check_order = [&]() -> Status {
+      for (int i = 0; i < 8; ++i) {
+        const xml::NodeId a = live[rng.Below(live.size())];
+        const xml::NodeId b = live[rng.Below(live.size())];
+        if (doc.PreorderIndex(a) != position[a]) {
+          return fail("PreorderIndex(" + std::to_string(a) + ") is " +
+                      std::to_string(doc.PreorderIndex(a)) + ", Visit says " +
+                      std::to_string(position[a]));
+        }
+        if (doc.DocumentOrderLess(a, b) != (position[a] < position[b])) {
+          return fail("DocumentOrderLess(" + std::to_string(a) + ", " +
+                      std::to_string(b) + ") disagrees with Visit");
+        }
+      }
+      return Status::OK();
+    };
+    if (order_first) RTP_RETURN_IF_ERROR(check_order());
+    std::shared_ptr<const xml::DocIndex> index = doc.Snapshot();
+    if (index->ArenaSize() != doc.ArenaSize() ||
+        index->LiveNodeCount() != live.size()) {
+      return fail("the snapshot covers " +
+                  std::to_string(index->LiveNodeCount()) + " of " +
+                  std::to_string(index->ArenaSize()) + " nodes, the tree " +
+                  std::to_string(live.size()) + " of " +
+                  std::to_string(doc.ArenaSize()));
+    }
+    for (xml::NodeId n = 0; n < doc.ArenaSize(); ++n) {
+      if (index->rank(n) != position[n]) {
+        return fail("node " + std::to_string(n) + " has rank " +
+                    std::to_string(index->rank(n)) + ", Visit says " +
+                    std::to_string(position[n]));
+      }
+      if (position[n] != xml::DocIndex::kNoRank &&
+          index->label(n) != doc.label(n)) {
+        return fail("node " + std::to_string(n) + " has a stale label");
+      }
+    }
+    if (!order_first) RTP_RETURN_IF_ERROR(check_order());
+    if (step == 24) break;
+
+    // The next structural update, on a node drawn from the live tree; the
+    // root is never detached, replaced or relabelled.
+    const xml::NodeId n = live[rng.Below(live.size())];
+    const xml::NodeId repl = source_nodes[rng.Below(source_nodes.size())];
+    const uint64_t kind = rng.Below(5);
+    if (kind == 4 || (kind != 2 && n == doc.root())) {
+      doc.Compact();
+      last = "Compact";
+    } else if (kind == 0) {
+      doc.ReplaceSubtree(n, source, repl);
+      last = "ReplaceSubtree(" + std::to_string(n) + ")";
+    } else if (kind == 1) {
+      doc.DetachSubtree(n);
+      last = "DetachSubtree(" + std::to_string(n) + ")";
+    } else if (kind == 2 && doc.type(n) == xml::NodeType::kElement) {
+      std::vector<xml::NodeId> kids = doc.Children(n);
+      const xml::NodeId before =
+          kids.empty() || rng.Below(3) == 0 ? xml::kInvalidNode
+                                            : kids[rng.Below(kids.size())];
+      doc.InsertSubtree(n, before, source, repl);
+      last = "InsertSubtree(" + std::to_string(n) + ")";
+    } else {
+      doc.set_label(n, "l" + std::to_string(rng.Below(4)));
+      last = "set_label(" + std::to_string(n) + ")";
+    }
   }
   return Status::OK();
 }
@@ -586,6 +740,7 @@ Status RunOracleBattery(uint64_t seed, const OracleOptions& options) {
       GenerateHedgeAutomatonInstance(&alphabet, &rng), &alphabet)));
 
   RTP_RETURN_IF_ERROR(annotate(CheckEvalResponseBytes(rng.Next())));
+  RTP_RETURN_IF_ERROR(annotate(CheckRankColumn(rng.Next())));
 
   return Status::OK();
 }

@@ -23,9 +23,23 @@ namespace rtp::fuzz {
 // regression in any path trips all of them.
 
 // Dense kernel (DenseDfa + DocIndex match tables) vs the Definition 2
-// literal reference evaluator, as selected-tuple sets.
+// literal reference evaluator, as selected-tuple sets; and the dense
+// tuples must be strictly increasing in lexicographic preorder, with the
+// preorder counted by a Document::Visit.
 Status CheckDenseVsReference(const pattern::TreePattern& pattern,
                              const xml::Document& doc);
+
+// The snapshot's preorder rank column under structural updates: a random
+// document goes through a random stream of ReplaceSubtree, DetachSubtree,
+// InsertSubtree, set_label and Compact. Before the first update and after
+// each one:
+//   - the snapshot's rank of every live node equals its Document::Visit
+//     position, and no detached arena node has a rank;
+//   - the snapshot's labels are the document's, and it counts the live
+//     nodes Visit counts;
+//   - PreorderIndex and DocumentOrderLess agree with the Visit positions
+//     on random pairs of live nodes.
+Status CheckRankColumn(uint64_t seed);
 
 // MatchTables' live-region rows vs Definition 2's Delivers and Realizes
 // (pattern/evaluator.h), transcribed literally over the Document:
@@ -75,11 +89,14 @@ Status CheckEmptinessVsReference(const automata::HedgeAutomaton& automaton,
 
 // The served eval answer vs the generic JSON path, on a random document
 // whose text and attribute values come from GenerateEscapeClassString,
-// one of them holding a plain run longer than 64 KiB:
-//   - serve::MakeEvalResponse, which renders each subtree straight into
-//     the line, and MakeOkResponse plus one
-//     JsonValue::String(xml::WriteXmlSubtree(...)) per subtree must
-//     serialize to the same bytes;
+// one of them holding a plain run longer than 64 KiB. Each answer draws
+// one arity from 1 to 3; half the draws repeat nodes within and across
+// tuples, the long run's node among them, so the line copies its own
+// bytes across a reallocation of its buffer:
+//   - serve::MakeEvalResponse, which renders each distinct node straight
+//     into the line and copies its bytes for repeats, and MakeOkResponse
+//     plus one JsonValue::String(xml::WriteXmlSubtree(...)) per subtree
+//     must serialize to the same bytes;
 //   - that line, fed through a serve::LineFramer in random chunk sizes and
 //     decoded by serve::DecodeEvalResponse as Client::Eval decodes it,
 //     must give back the WriteXmlSubtree strings.

@@ -1,9 +1,8 @@
 #include "pattern/evaluator.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <numeric>
 
-#include "common/hashing.h"
 #include "exec/parallel_for.h"
 #include "guard/failpoints.h"
 #include "obs/trace.h"
@@ -189,41 +188,72 @@ size_t MappingEnumerator::Count(size_t limit) {
 
 namespace {
 
-struct TupleHash {
-  size_t operator()(const std::vector<NodeId>& tuple) const {
-    uint64_t h = 0x2545f4914f6cdd1dULL;
-    for (NodeId n : tuple) h = HashMix(h, n);
-    return static_cast<size_t>(h);
-  }
-};
-
-std::vector<std::vector<NodeId>> EvaluateSelectedImpl(
-    const TreePattern& pattern, const MatchTables& tables) {
+SelectedTuples SelectImpl(const TreePattern& pattern,
+                          const MatchTables& tables) {
   RTP_PHASE("pattern.enumerate");
+  const std::vector<SelectedNode>& selected = pattern.selected();
+  const size_t arity = selected.size();
+  const DocIndex& index = tables.index();
+  // One row per mapping: its selected images, and their ranks beside them.
+  std::vector<NodeId> images;
+  std::vector<uint32_t> ranks;
+  uint32_t rows = 0;
   MappingEnumerator enumerator(tables);
-  std::vector<std::vector<NodeId>> result;
-  std::unordered_set<std::vector<NodeId>, TupleHash> seen;
-  size_t duplicates = 0;
-  std::vector<NodeId> tuple;
   enumerator.ForEach([&](const Mapping& m) {
-    tuple.clear();
-    tuple.reserve(pattern.selected().size());
-    for (const SelectedNode& s : pattern.selected()) {
-      tuple.push_back(m.image[s.node]);
+    for (const SelectedNode& s : selected) {
+      images.push_back(m.image[s.node]);
+      ranks.push_back(index.rank(m.image[s.node]));
     }
-    if (seen.insert(tuple).second) {
-      result.push_back(tuple);
-    } else {
-      ++duplicates;
-    }
+    ++rows;
     return true;
   });
-  RTP_OBS_COUNT_N("pattern.eval.tuples_selected", result.size());
-  RTP_OBS_COUNT_N("pattern.eval.duplicate_tuples", duplicates);
+  // Equal rank rows are equal tuples, so sorting the rows by their ranks
+  // puts duplicates next to each other.
+  auto rank_row = [&](uint32_t row) {
+    return ranks.begin() + static_cast<ptrdiff_t>(row * arity);
+  };
+  std::vector<uint32_t> order(rows);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return std::lexicographical_compare(rank_row(a), rank_row(a) + arity,
+                                        rank_row(b), rank_row(b) + arity);
+  });
+  SelectedTuples result;
+  result.arity = arity;
+  for (uint32_t i = 0; i < rows; ++i) {
+    if (i > 0 &&
+        std::equal(rank_row(order[i]), rank_row(order[i]) + arity,
+                   rank_row(order[i - 1]))) {
+      continue;
+    }
+    const auto row = images.begin() + static_cast<ptrdiff_t>(order[i] * arity);
+    result.nodes.insert(result.nodes.end(), row, row + arity);
+    ++result.count;
+  }
+  RTP_OBS_COUNT_N("pattern.eval.tuples_selected", result.count);
+  RTP_OBS_COUNT_N("pattern.eval.duplicate_tuples", rows - result.count);
   return result;
 }
 
+std::vector<std::vector<NodeId>> Nested(const SelectedTuples& tuples) {
+  std::vector<std::vector<NodeId>> out;
+  out.reserve(tuples.count);
+  for (size_t i = 0; i < tuples.count; ++i) {
+    const auto row =
+        tuples.nodes.begin() + static_cast<ptrdiff_t>(i * tuples.arity);
+    out.emplace_back(row, row + tuples.arity);
+  }
+  return out;
+}
+
 }  // namespace
+
+SelectedTuples SelectTuples(const TreePattern& pattern, const DocIndex& index,
+                            obs::QueryProfile* profile) {
+  obs::ProfileScope prof("pattern.EvaluateSelected", profile);
+  MatchTables tables = MatchTables::Build(pattern, index);
+  return SelectImpl(pattern, tables);
+}
 
 std::vector<std::vector<NodeId>> EvaluateSelected(const TreePattern& pattern,
                                                   const Document& doc) {
@@ -240,15 +270,13 @@ std::vector<std::vector<NodeId>> EvaluateSelected(const TreePattern& pattern,
                                                   obs::QueryProfile* profile) {
   obs::ProfileScope prof("pattern.EvaluateSelected", profile);
   MatchTables tables = MatchTables::Build(pattern, doc);
-  return EvaluateSelectedImpl(pattern, tables);
+  return Nested(SelectImpl(pattern, tables));
 }
 
 std::vector<std::vector<NodeId>> EvaluateSelected(const TreePattern& pattern,
                                                   const DocIndex& index,
                                                   obs::QueryProfile* profile) {
-  obs::ProfileScope prof("pattern.EvaluateSelected", profile);
-  MatchTables tables = MatchTables::Build(pattern, index);
-  return EvaluateSelectedImpl(pattern, tables);
+  return Nested(SelectTuples(pattern, index, profile));
 }
 
 std::vector<std::vector<std::vector<NodeId>>> EvaluateSelectedBatch(

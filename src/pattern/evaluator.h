@@ -164,17 +164,36 @@ class MappingEnumerator {
 
 // Identification phase (a) of evaluation: the distinct tuples of document
 // nodes selected by the pattern (the roots of the subtree tuples of R(D)),
-// in first-encountered order. The DocIndex overload shares a prebuilt
-// document snapshot (multi-pattern callers); results are identical.
+// in document order — lexicographic by the preorder ranks of the tuple's
+// nodes — with no duplicates. Tuple i is nodes[i * arity, (i + 1) * arity);
+// `count` is kept separately because a pattern with no select clause has
+// arity 0 and selects one empty tuple when it has a mapping.
+struct SelectedTuples {
+  size_t arity = 0;
+  size_t count = 0;
+  std::vector<xml::NodeId> nodes;
+};
+
+// Builds the tables and selects over a shared document snapshot. When
+// `profile` is non-null the evaluation runs under an obs::ProfileScope and
+// fills it with the phase tree (pattern.build_tables / pattern.enumerate),
+// metric deltas, and guard accounting. Enumeration collects every
+// mapping's selected images into one flat buffer, then sorts the rows once
+// on the snapshot's rank column (xml::DocIndex::rank) and keeps adjacent
+// uniques.
+SelectedTuples SelectTuples(const TreePattern& pattern,
+                            const xml::DocIndex& index,
+                            obs::QueryProfile* profile = nullptr);
+
+// SelectTuples' result as one vector per tuple, same order. The Document
+// overloads snapshot the document inside the pattern.build_tables phase;
+// the DocIndex overloads share a prebuilt snapshot (multi-pattern
+// callers). Results are identical either way, and a null `profile` is
+// identical to the overloads without one.
 std::vector<std::vector<xml::NodeId>> EvaluateSelected(
     const TreePattern& pattern, const xml::Document& doc);
 std::vector<std::vector<xml::NodeId>> EvaluateSelected(
     const TreePattern& pattern, const xml::DocIndex& index);
-
-// Profiled overloads: when `profile` is non-null the evaluation runs
-// under an obs::ProfileScope and fills it with the phase tree
-// (pattern.build_tables / pattern.enumerate), metric deltas, and guard
-// accounting. Null `profile` is identical to the overloads above.
 std::vector<std::vector<xml::NodeId>> EvaluateSelected(
     const TreePattern& pattern, const xml::Document& doc,
     obs::QueryProfile* profile);
@@ -186,7 +205,7 @@ std::vector<std::vector<xml::NodeId>> EvaluateSelected(
 // threads, the calling thread included (`jobs` <= 1 runs serially).
 // Results are indexed like `docs` and bit-identical to serial
 // EvaluateSelected calls for every jobs value. `docs` must not repeat a
-// Document (its lazy preorder index is not internally synchronized).
+// Document (its lazily built snapshot is not internally synchronized).
 std::vector<std::vector<std::vector<xml::NodeId>>> EvaluateSelectedBatch(
     const TreePattern& pattern, const std::vector<const xml::Document*>& docs,
     int jobs = 1);

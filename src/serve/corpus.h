@@ -15,10 +15,10 @@
 // A CorpusEntry heap-pins its Document: the shared DocIndex keeps a raw
 // back-pointer to the Document (xml/doc_index.h), and Document's move
 // constructor deliberately drops the snapshot slot, so the document must
-// never relocate while the index is alive. Load warms the lazy caches
-// (preorder index, Snapshot) before it publishes the entry; after
-// publication the entry is immutable and readers share it lock-free via
-// shared_ptr.
+// never relocate while the index is alive. Load builds the Document's
+// lazy snapshot, which also holds its document order, before it publishes
+// the entry; after publication the entry is immutable and readers share
+// it lock-free via shared_ptr.
 
 #include <atomic>
 #include <cstdint>

@@ -192,25 +192,40 @@ JsonValue MakeErrorResponse(int64_t id, const Status& status) {
   return v;
 }
 
-JsonValue MakeEvalResponse(
-    int64_t id, const xml::Document& doc,
-    const std::vector<std::vector<xml::NodeId>>& tuples) {
+JsonValue MakeEvalResponse(int64_t id, const xml::Document& doc,
+                           const pattern::SelectedTuples& tuples) {
+  // The escaped string of the k-th node rendered sits at ranges[k - 1] of
+  // `rows`, and slot[n] holds k for node n (0 until n is rendered).
+  // Distinct tuples of arity 1 cannot repeat a node, so they need no slots.
+  std::vector<uint32_t> slot(tuples.arity > 1 ? doc.ArenaSize() : 0);
+  std::vector<std::pair<size_t, size_t>> ranges;  // (begin, size)
   std::string rows = "[";
   std::string subtree;
-  for (size_t i = 0; i < tuples.size(); ++i) {
+  for (size_t i = 0; i < tuples.count; ++i) {
     if (i > 0) rows.push_back(',');
     rows.push_back('[');
-    for (size_t j = 0; j < tuples[i].size(); ++j) {
+    for (size_t j = 0; j < tuples.arity; ++j) {
       if (j > 0) rows.push_back(',');
+      const xml::NodeId n = tuples.nodes[i * tuples.arity + j];
+      if (!slot.empty() && slot[n] != 0) {
+        const auto [begin, size] = ranges[slot[n] - 1];
+        rows.append(rows, begin, size);
+        continue;
+      }
+      const size_t begin = rows.size();
       subtree.clear();
-      xml::AppendXmlSubtree(doc, tuples[i][j], /*indent=*/false, &subtree);
+      xml::AppendXmlSubtree(doc, n, /*indent=*/false, &subtree);
       AppendJsonString(&rows, subtree);
+      if (!slot.empty()) {
+        ranges.emplace_back(begin, rows.size() - begin);
+        slot[n] = static_cast<uint32_t>(ranges.size());
+      }
     }
     rows.push_back(']');
   }
   rows.push_back(']');
   JsonValue response = MakeOkResponse(id);
-  response.Add("count", JsonValue::Int(static_cast<int64_t>(tuples.size())));
+  response.Add("count", JsonValue::Int(static_cast<int64_t>(tuples.count)));
   response.Add("tuples", JsonValue::Raw(std::move(rows)));
   return response;
 }

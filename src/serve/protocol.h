@@ -32,6 +32,7 @@
 
 #include "common/status.h"
 #include "guard/guard.h"
+#include "pattern/evaluator.h"
 #include "serve/json.h"
 #include "xml/document.h"
 
@@ -89,13 +90,17 @@ JsonValue MakeOkResponse(int64_t id);
 JsonValue MakeErrorResponse(int64_t id, const Status& status);
 
 // The success envelope of an eval answer: "count", then "tuples" in the
-// order given. Each subtree is rendered by xml::AppendXmlSubtree into one
+// order given (pattern::SelectTuples gives document order). The first
+// occurrence of a node is rendered by xml::AppendXmlSubtree into one
 // reused buffer and escaped straight into the text of the "tuples" array,
-// a JsonValue::Raw, so no JsonValue is built per tuple. The serialized
-// bytes equal those of one JsonValue::String(xml::WriteXmlSubtree(...))
-// per subtree (fuzz::CheckEvalResponseBytes).
+// a JsonValue::Raw, so no JsonValue is built per tuple. When the arity is
+// above 1, an arena-indexed slot records which range of the text holds
+// that escaped string, and each repeat of the node appends that range of
+// the text to itself. The serialized bytes equal those of one
+// JsonValue::String(xml::WriteXmlSubtree(...)) per subtree
+// (fuzz::CheckEvalResponseBytes).
 JsonValue MakeEvalResponse(int64_t id, const xml::Document& doc,
-                           const std::vector<std::vector<xml::NodeId>>& tuples);
+                           const pattern::SelectedTuples& tuples);
 
 // Overload shed: RESOURCE_EXHAUSTED plus a "retry_after_ms" backoff hint
 // inside the error object. Only queue-full sheds carry the hint — budget

@@ -557,9 +557,10 @@ JsonValue Server::HandleLoad(Tenant& tenant, const Request& req,
   Status status;
   std::shared_ptr<CorpusEntry> entry;
   {
-    // Parsing interns into the self-locking tenant alphabet. The lazy
-    // Document caches (preorder index, Snapshot) are warmed here, before
-    // the entry is published, so no reader ever fills them.
+    // Parsing interns into the self-locking tenant alphabet. The
+    // Document's lazy snapshot, whose rank column is also its document
+    // order, is built here, before the entry is published, so no reader
+    // ever fills it.
     guard::GuardContext ctx(budget, cancel, arrival_ns);
     guard::ScopedGuard scope(&ctx);
     obs::ProfileScope prof("serve.load", req.profile ? &profile : nullptr);
@@ -568,13 +569,12 @@ JsonValue Server::HandleLoad(Tenant& tenant, const Request& req,
       status = doc_or.status();
     } else {
       auto doc = std::make_unique<xml::Document>(std::move(doc_or).value());
-      doc->PreorderIndex(doc->root());
       std::shared_ptr<const xml::DocIndex> index = doc->Snapshot();
       status = guard::CurrentStatus();
       if (status.ok()) {
         entry = std::make_shared<CorpusEntry>();
         entry->name = req.doc;
-        entry->live_nodes = doc->LiveNodeCount();
+        entry->live_nodes = index->LiveNodeCount();
         entry->index = std::move(index);
         entry->doc = std::move(doc);
       }
@@ -619,30 +619,18 @@ JsonValue Server::HandleEval(Tenant& tenant, const Request& req,
     // names of ids already interned, so they take no lock.
     guard::GuardContext ctx(budget, cancel, arrival_ns);
     guard::ScopedGuard scope(&ctx);
-    auto tuples = pattern::EvaluateSelected(parsed->pattern,
-                                            *entry->index,
-                                            req.profile ? &profile : nullptr);
+    pattern::SelectedTuples tuples = pattern::SelectTuples(
+        parsed->pattern, *entry->index, req.profile ? &profile : nullptr);
     Status status = guard::CurrentStatus();
     if (!status.ok()) {
       JsonValue response = MakeErrorResponse(req.id, status);
       if (req.profile) AttachProfile(&response, profile);
       return response;
     }
-    // Document order, then subtree serialization — the exact output
-    // contract of `rtp_cli eval`, so serve results are bit-comparable to
-    // serial library runs.
-    const xml::Document& doc = entry->index->doc();
-    std::sort(tuples.begin(), tuples.end(),
-              [&doc](const std::vector<xml::NodeId>& a,
-                     const std::vector<xml::NodeId>& b) {
-                for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-                  uint32_t pa = doc.PreorderIndex(a[i]);
-                  uint32_t pb = doc.PreorderIndex(b[i]);
-                  if (pa != pb) return pa < pb;
-                }
-                return a.size() < b.size();
-              });
-    response = MakeEvalResponse(req.id, doc, tuples);
+    // Tuples come in document order, rendered as subtrees — the exact
+    // output contract of `rtp_cli eval`, so serve results are
+    // bit-comparable to serial library runs.
+    response = MakeEvalResponse(req.id, entry->index->doc(), tuples);
   }
   if (req.profile) AttachProfile(&response, profile);
   return response;

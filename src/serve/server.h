@@ -37,9 +37,9 @@
 //     counters, plus the library's own metrics.
 //
 // Determinism contract: responses for load/eval/checkfd/matrix are
-// byte-identical to the equivalent serial library calls (eval tuples are
-// sorted by document order and serialized with WriteXmlSubtree, exactly
-// like rtp_cli), which is what the end-to-end battery in
+// byte-identical to the equivalent serial library calls (eval tuples come
+// in document order from the evaluator and carry WriteXmlSubtree's bytes,
+// exactly like rtp_cli), which is what the end-to-end battery in
 // tests/serve_test.cc checks against its in-process oracle.
 
 #include <atomic>

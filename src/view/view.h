@@ -28,7 +28,8 @@ class View {
 
   // Materializes R(D) as a document:
   //   /result/tuple*  with one <tuple> child per distinct selected tuple,
-  // holding copies of the selected subtrees in tuple order.
+  // in document order, holding copies of the selected subtrees in tuple
+  // order.
   xml::Document Materialize(const xml::Document& doc) const;
 
  private:

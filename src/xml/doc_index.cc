@@ -15,15 +15,20 @@ DocIndex DocIndex::Build(const Document& doc) {
   const size_t arena = doc.ArenaSize();
   d.child_begin_.assign(arena, 0);
   d.child_count_.assign(arena, 0);
+  d.ranks_.assign(arena, kNoRank);
   d.labels_.resize(arena);
   for (NodeId n = 0; n < arena; ++n) d.labels_[n] = doc.label(n);
 
-  // One pass over the live tree fills the contiguous child spans.
+  // One preorder pass over the live tree fills the contiguous child spans
+  // and the ranks. Children are pushed last to first, so they pop in
+  // sibling order.
   d.children_.reserve(arena);
   std::vector<NodeId> stack = {d.root_};
+  uint32_t next_rank = 0;
   while (!stack.empty()) {
     NodeId v = stack.back();
     stack.pop_back();
+    d.ranks_[v] = next_rank++;
     const size_t begin = d.children_.size();
     for (NodeId c = doc.first_child(v); c != kInvalidNode;
          c = doc.next_sibling(c)) {
@@ -31,7 +36,7 @@ DocIndex DocIndex::Build(const Document& doc) {
     }
     d.child_begin_[v] = static_cast<uint32_t>(begin);
     d.child_count_[v] = static_cast<uint32_t>(d.children_.size() - begin);
-    for (size_t i = begin; i < d.children_.size(); ++i) {
+    for (size_t i = d.children_.size(); i-- > begin;) {
       stack.push_back(d.children_[i]);
     }
   }

@@ -16,7 +16,9 @@ namespace rtp::xml {
 //   - contiguous child spans (one array slice per node, in sibling order),
 //     which MatchTables::Build walks top-down from the root to find a
 //     pattern's live region,
-//   - a dense label column.
+//   - a dense label column,
+//   - a preorder rank column: document order (the "<" of Definition 2) is
+//     rank order, and a subtree occupies one contiguous range of ranks.
 //
 // Lifetime and invalidation: a DocIndex must not outlive its Document, and
 // it describes the tree as of Build time. Any structural mutation —
@@ -27,7 +29,7 @@ namespace rtp::xml {
 // the snapshot stores structure and labels, never values.
 //
 // A DocIndex is immutable after Build and safe to share across threads
-// (unlike Document, whose lazily cached preorder index is unsynchronized).
+// (unlike Document, whose lazily built snapshot slot is unsynchronized).
 class DocIndex {
  public:
   DocIndex() = default;
@@ -52,6 +54,11 @@ class DocIndex {
 
   LabelId label(NodeId v) const { return labels_[v]; }
 
+  // Preorder position of `v` in the live tree (the root is 0), or
+  // kNoRank for a node that was detached at Build time.
+  static constexpr uint32_t kNoRank = UINT32_MAX;
+  uint32_t rank(NodeId v) const { return ranks_[v]; }
+
  private:
   const Document* doc_ = nullptr;
   NodeId root_ = kInvalidNode;
@@ -59,6 +66,7 @@ class DocIndex {
   std::vector<uint32_t> child_count_;  // arena-indexed slice lengths
   std::vector<NodeId> children_;       // all child lists, concatenated
   std::vector<LabelId> labels_;        // arena-indexed
+  std::vector<uint32_t> ranks_;        // arena-indexed
 };
 
 }  // namespace rtp::xml

@@ -7,12 +7,16 @@
 
 namespace rtp::xml {
 
-std::shared_ptr<const DocIndex> Document::Snapshot() const {
+const DocIndex& Document::Index() const {
   if (snapshot_.index == nullptr) {
     snapshot_.index = std::make_shared<const DocIndex>(DocIndex::Build(*this));
-  } else {
-    RTP_OBS_COUNT("xml.doc_index.snapshot_hits");
   }
+  return *snapshot_.index;
+}
+
+std::shared_ptr<const DocIndex> Document::Snapshot() const {
+  if (snapshot_.index != nullptr) RTP_OBS_COUNT("xml.doc_index.snapshot_hits");
+  Index();
   return snapshot_.index;
 }
 
@@ -27,7 +31,7 @@ NodeId Document::NewNode(LabelId label, NodeType type, std::string_view value) {
   node.type = type;
   node.value = std::string(value);
   nodes_.push_back(std::move(node));
-  InvalidateOrder();
+  InvalidateSnapshot();
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
@@ -58,7 +62,7 @@ void Document::AppendExisting(NodeId parent, NodeId child) {
     p.first_child = child;
   }
   p.last_child = child;
-  InvalidateOrder();
+  InvalidateSnapshot();
 }
 
 std::vector<NodeId> Document::Children(NodeId n) const {
@@ -112,28 +116,18 @@ bool Document::IsAncestorOrSelf(NodeId ancestor, NodeId n) const {
   return false;
 }
 
-void Document::EnsureOrder() const {
-  if (order_valid_) return;
-  preorder_.assign(nodes_.size(), UINT32_MAX);
-  uint32_t next = 0;
-  VisitFrom(root_, [this, &next](NodeId n) {
-    preorder_[n] = next++;
-    return true;
-  });
-  order_valid_ = true;
-}
-
 bool Document::DocumentOrderLess(NodeId a, NodeId b) const {
-  EnsureOrder();
-  RTP_CHECK_MSG(preorder_[a] != UINT32_MAX && preorder_[b] != UINT32_MAX,
+  const DocIndex& index = Index();
+  RTP_CHECK_MSG(index.rank(a) != DocIndex::kNoRank &&
+                    index.rank(b) != DocIndex::kNoRank,
                 "document order of a detached node");
-  return preorder_[a] < preorder_[b];
+  return index.rank(a) < index.rank(b);
 }
 
 uint32_t Document::PreorderIndex(NodeId n) const {
-  EnsureOrder();
-  RTP_CHECK(preorder_[n] != UINT32_MAX);
-  return preorder_[n];
+  const uint32_t rank = Index().rank(n);
+  RTP_CHECK(rank != DocIndex::kNoRank);
+  return rank;
 }
 
 void Document::Compact(std::vector<NodeId>* remap) {
@@ -167,7 +161,7 @@ void Document::Compact(std::vector<NodeId>* remap) {
   }
   nodes_ = std::move(compacted);
   root_ = map[root_];
-  InvalidateOrder();
+  InvalidateSnapshot();
   if (remap != nullptr) *remap = std::move(map);
 }
 
@@ -203,7 +197,7 @@ void Document::DetachSubtree(NodeId n) {
   node.parent = kInvalidNode;
   node.prev_sibling = kInvalidNode;
   node.next_sibling = kInvalidNode;
-  InvalidateOrder();
+  InvalidateSnapshot();
 }
 
 NodeId Document::ReplaceSubtree(NodeId n, const Document& repl,
@@ -232,7 +226,7 @@ NodeId Document::InsertSubtree(NodeId parent, NodeId before,
     nodes_[parent].first_child = copy;
   }
   b.prev_sibling = copy;
-  InvalidateOrder();
+  InvalidateSnapshot();
   return copy;
 }
 

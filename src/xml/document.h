@@ -32,7 +32,8 @@ enum class NodeType : uint8_t {
 // Nodes live in an arena indexed by NodeId. Structural mutation (the update
 // module) detaches subtrees in place; detached nodes stay in the arena as
 // garbage and are excluded from traversals. Document order (the "<" order
-// of Definition 2) is a lazily recomputed preorder index.
+// of Definition 2) is the preorder rank column of the lazily built
+// snapshot (see Snapshot()).
 class Document {
  public:
   // `alphabet` must outlive the document and is shared with patterns,
@@ -91,7 +92,7 @@ class Document {
   }
   void set_label(NodeId n, std::string_view label) {
     nodes_[n].label = alphabet_->Intern(label);
-    InvalidateOrder();
+    InvalidateSnapshot();
   }
 
   // Children of `n` in sibling order.
@@ -120,11 +121,11 @@ class Document {
   uint32_t PreorderIndex(NodeId n) const;
 
   // Shared frozen snapshot of the live tree (see doc_index.h), built
-  // lazily on first use and dropped by the same mutations that invalidate
-  // the preorder index, so repeated evaluations against an unchanged
-  // document reuse one DocIndex. Same caveat as the preorder cache: the
-  // lazy build is not synchronized, so take the snapshot before handing
-  // the document to concurrent readers.
+  // lazily on first use and dropped by every structural mutation, so
+  // repeated evaluations against an unchanged document reuse one
+  // DocIndex. DocumentOrderLess and PreorderIndex read its rank column,
+  // and build it if there is none. The lazy build is not synchronized, so
+  // take the snapshot before handing the document to concurrent readers.
   std::shared_ptr<const DocIndex> Snapshot() const;
 
   // Appends a copy of src(src_node) under dst_parent of this document.
@@ -175,9 +176,11 @@ class Document {
       NodeId n = stack.back();
       stack.pop_back();
       if (!visit(n)) continue;
-      // Push children reversed so they pop in sibling order.
-      std::vector<NodeId> kids = Children(n);
-      for (auto it = kids.rbegin(); it != kids.rend(); ++it) stack.push_back(*it);
+      // Push children last to first so they pop in sibling order.
+      for (NodeId c = nodes_[n].last_child; c != kInvalidNode;
+           c = nodes_[c].prev_sibling) {
+        stack.push_back(c);
+      }
     }
   }
 
@@ -209,20 +212,14 @@ class Document {
 
   NodeId NewNode(LabelId label, NodeType type, std::string_view value);
   void AppendExisting(NodeId parent, NodeId child);
-  void InvalidateOrder() {
-    order_valid_ = false;
-    snapshot_.index.reset();
-  }
-  void EnsureOrder() const;
+  void InvalidateSnapshot() { snapshot_.index.reset(); }
+  // The snapshot, built if there is none, without Snapshot()'s shared_ptr
+  // copy and hit count.
+  const DocIndex& Index() const;
 
   Alphabet* alphabet_;
   std::vector<Node> nodes_;
   NodeId root_;
-
-  // Lazily recomputed preorder index over attached nodes; UINT32_MAX for
-  // detached ones.
-  mutable std::vector<uint32_t> preorder_;
-  mutable bool order_valid_ = false;
   SnapshotSlot snapshot_;
 };
 

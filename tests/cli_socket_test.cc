@@ -100,6 +100,15 @@ TEST_F(CliSocketTest, EscapesEvalMatchesSerial) {
   ExpectServedEqualsSerial(args);
 }
 
+// Each note is in two of the three tuples, so the served answer copies
+// the escaped bytes of every note once within its own line.
+TEST_F(CliSocketTest, EscapesPairsEvalMatchesSerial) {
+  const std::string args =
+      "eval " + Data("escapes_pairs.pattern") + " " + Data("escapes.xml");
+  EXPECT_EQ(RunCli(args).stdout_text.rfind("3 tuple(s)\n", 0), 0u);
+  ExpectServedEqualsSerial(args);
+}
+
 TEST_F(CliSocketTest, CheckFdMatchesSerial) {
   ExpectServedEqualsSerial("checkfd " + Data("fd1.fd") + " " +
                            Data("exam.xml"));

@@ -192,6 +192,25 @@ TEST_P(OracleTest, EmptinessMatchesReferenceOnRandomAutomata) {
   }
 }
 
+// The snapshot's rank column against Document::Visit, through random
+// streams of structural updates; each seed checks 40 streams.
+TEST_P(OracleTest, RankColumnFollowsStructuralUpdates) {
+  for (uint64_t i = 0; i < 40; ++i) {
+    Status status = fuzz::CheckRankColumn(GetParam() * 1000 + i);
+    ASSERT_TRUE(status.ok()) << "stream " << i << ": " << status.ToString();
+  }
+}
+
+// The served eval line against the JsonValue path; half the answers
+// repeat nodes, so render-once copies bytes within the line. Each seed
+// checks 20 answers.
+TEST_P(OracleTest, EvalResponseBytesMatchJsonPath) {
+  for (uint64_t i = 0; i < 20; ++i) {
+    Status status = fuzz::CheckEvalResponseBytes(GetParam() * 1000 + i);
+    ASSERT_TRUE(status.ok()) << "answer " << i << ": " << status.ToString();
+  }
+}
+
 // The acceptance bar for this battery: the full bundle passes for several
 // distinct seeds, exactly as fuzz/fuzz_differential runs it.
 TEST_P(OracleTest, FullBatteryPasses) {

@@ -9,7 +9,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <fstream>
@@ -83,7 +82,7 @@ Client ConnectOrDie(const std::string& socket_path) {
   return std::move(client_or).value();
 }
 
-// Serial library oracle for eval: same sort + serialization contract the
+// Serial library oracle for eval: same order + serialization contract the
 // server (and rtp_cli) promise, derived with a private alphabet.
 std::vector<std::vector<std::string>> OracleEval(
     const std::string& xml_text, const std::string& pattern_text) {
@@ -94,16 +93,6 @@ std::vector<std::vector<std::string>> OracleEval(
   auto parsed_or = pattern::ParsePattern(&alphabet, pattern_text);
   EXPECT_TRUE(parsed_or.ok());
   auto tuples = pattern::EvaluateSelected(parsed_or->pattern, doc);
-  std::sort(tuples.begin(), tuples.end(),
-            [&doc](const std::vector<xml::NodeId>& a,
-                   const std::vector<xml::NodeId>& b) {
-              for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-                uint32_t pa = doc.PreorderIndex(a[i]);
-                uint32_t pb = doc.PreorderIndex(b[i]);
-                if (pa != pb) return pa < pb;
-              }
-              return a.size() < b.size();
-            });
   std::vector<std::vector<std::string>> out;
   out.reserve(tuples.size());
   for (const auto& tuple : tuples) {

@@ -58,7 +58,7 @@
 //
 // checkfd and eval accept several XML files; the documents are processed
 // in parallel under --jobs but reported strictly in command-line order,
-// and eval prints each document's tuples sorted by document order, so the
+// and eval prints each document's tuples in document order, so the
 // output is deterministic.
 //
 // Pattern/FD files use the DSL of pattern_parser.h; schema files the DSL
@@ -67,7 +67,6 @@
 // usage or input error. Input errors print the full status detail (code
 // name + message) on stderr.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -290,24 +289,12 @@ int CmdCheckFd(Alphabet* alphabet, const std::string& fd_path,
   return all_satisfied ? 0 : 1;
 }
 
-// Renders `tuples` sorted by document order (lexicographic preorder
-// comparison), not in enumeration order: enumeration order is an
-// implementation detail of the match tables, and output must be stable
-// for any --jobs value and across evaluator changes. rtpd renders the
-// same way.
-serve::EvalResult RenderInDocumentOrder(
+// Renders `tuples`, which the evaluator returns in document order
+// (lexicographic preorder), so output is stable for any --jobs value and
+// across evaluator changes. rtpd renders the same way.
+serve::EvalResult RenderTuples(
     const xml::Document& doc,
-    std::vector<std::vector<xml::NodeId>> tuples) {
-  std::sort(tuples.begin(), tuples.end(),
-            [&doc](const std::vector<xml::NodeId>& a,
-                   const std::vector<xml::NodeId>& b) {
-              for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-                uint32_t pa = doc.PreorderIndex(a[i]);
-                uint32_t pb = doc.PreorderIndex(b[i]);
-                if (pa != pb) return pa < pb;
-              }
-              return a.size() < b.size();
-            });
+    const std::vector<std::vector<xml::NodeId>>& tuples) {
   serve::EvalResult result;
   for (const auto& tuple : tuples) {
     std::vector<std::string> row;
@@ -345,8 +332,7 @@ int CmdEval(Alphabet* alphabet, const std::string& pattern_path,
         parsed.pattern, DocPointers(docs), options, &statuses);
     for (size_t d = 0; d < per_doc.size(); ++d) {
       if (statuses[d].ok()) {
-        results.push_back(
-            RenderInDocumentOrder(docs[d], std::move(per_doc[d])));
+        results.push_back(RenderTuples(docs[d], per_doc[d]));
       } else {
         results.push_back(statuses[d]);
       }

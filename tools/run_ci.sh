@@ -37,8 +37,10 @@
 #                 and runs `rtp_cli` eval, checkfd and matrix on
 #                 examples/data both serially and with --socket; stdout
 #                 and exit codes must match (the bit-identity contract of
-#                 docs/SERVING.md). One eval runs on escapes.xml, whose
-#                 selected subtrees carry every JSON and XML escape class.
+#                 docs/SERVING.md). Two evals run on escapes.xml, whose
+#                 selected subtrees carry every JSON and XML escape class;
+#                 the tuples of the second (escapes_pairs.pattern) repeat
+#                 nodes.
 #   load          builds rtpd + rtp_load + rtp_cli in the plain tree,
 #                 starts a real daemon, and runs the committed
 #                 examples/workloads/smoke.json (480 weighted draws from
@@ -165,7 +167,8 @@ stop_rtpd() {
   wait "$rtpd_pid" || { echo "rtpd exited with status $?" >&2; return 1; }
 }
 
-# Runs rtp_cli's eval (on exam.xml and on escapes.xml), checkfd and
+# Runs rtp_cli's eval (on exam.xml, and on escapes.xml with escapes.pattern
+# and with escapes_pairs.pattern, whose tuples repeat nodes), checkfd and
 # matrix on examples/data serially and through the daemon at $2; stdout
 # and exit codes must match.
 served_equals_serial() {
@@ -173,10 +176,12 @@ served_equals_serial() {
   local data="$source_dir/examples/data"
   local cmd serial_code served_code
   local -a args
-  for cmd in eval escapes checkfd matrix; do
+  for cmd in eval escapes escapes_pairs checkfd matrix; do
     case "$cmd" in
       eval) args=(eval "$data/update_u.pattern" "$data/exam.xml") ;;
       escapes) args=(eval "$data/escapes.pattern" "$data/escapes.xml") ;;
+      escapes_pairs)
+        args=(eval "$data/escapes_pairs.pattern" "$data/escapes.xml") ;;
       checkfd) args=(checkfd "$data/fd1.fd" "$data/exam.xml") ;;
       matrix) args=(matrix "$data/fd1.fd,$data/fd5.fd"
                     "$data/update_u.pattern" "$data/exam.schema") ;;
